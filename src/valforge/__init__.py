@@ -83,6 +83,7 @@ from .sphere import (
     tangent_basis,
 )
 from .synthesis import (
+    ConvexificationFailure,
     FiniteCombination,
     KernelValuation,
     accumulate_g_alpha,

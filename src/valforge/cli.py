@@ -25,7 +25,7 @@ from .bodies import (
     body_from_dict,
     make_perturbed_ball,
 )
-from .counterexample import divergence_sweep
+from .counterexample import divergence_sweep, make_zonal_bump
 from .family import SpanningFailure, build_family, dual_frame, spanning_certificate
 from .kernels import ReconstructionFailure, decompose_kernel, harmonic_table_kernel, separable_kernel
 from .mixed import (
@@ -36,6 +36,7 @@ from .mixed import (
 )
 from .sphere import build_grid
 from .synthesis import (
+    ConvexificationFailure,
     KernelValuation,
     combination_from_dict,
     combination_to_dict,
@@ -358,14 +359,20 @@ def _parse_sweep(text: str):
     try:
         start, stop, count = text.split(":")
         values = np.geomspace(float(start), float(stop), int(count))
+        for eps in values:
+            make_zonal_bump(eps)  # rejects eps outside (0, 1/12)
     except ValueError as err:
-        raise InputError(f"bad sweep spec {text!r}; expected start:stop:count") from err
+        raise InputError(f"bad sweep spec {text!r} ({err}); expected start:stop:count") from err
+    if values.size == 0:
+        raise InputError(f"bad sweep spec {text!r}: the sweep is empty")
     return values
 
 
 def cmd_counterexample(args) -> int:
     config = _load_config(args)
     n = config["n"]
+    if n < 3:
+        raise InputError(f"the divergence lab needs n >= 3, got n={n}")
     eps_values = _parse_sweep(args.eps_sweep)
     sweep = divergence_sweep(eps_values, n=n)
     out = _out_dir(config)
@@ -440,7 +447,12 @@ def main(argv=None) -> int:
     except InputError as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (SpanningFailure, ReconstructionFailure, ConvexityViolation) as err:
+    except (
+        SpanningFailure,
+        ReconstructionFailure,
+        ConvexityViolation,
+        ConvexificationFailure,
+    ) as err:
         print(f"mathematical check failed: {err}", file=sys.stderr)
         return EXIT_MATH
 

@@ -10,6 +10,13 @@ representation, a zonal test function phi with
 surface-measure powers of (1 - t^2) cancel).  Bump test functions with plateau
 [eps, 4*eps] make the leading term grow like eps^{-1/2}, so the pairing cannot
 be bounded by sup-norms: the valuation is not a combination of mixed volumes.
+
+The pairing is computed three ways: adaptive quadrature of the cancelled form
+(gw_zonal), the same after integration by parts (gw_zonal_by_parts), and an
+independent sphere quadrature of the uncancelled integrand (gw_sphere_oracle).
+The oracle's integrand is zonal, so it reduces exactly to a 1-D integral in
+u = x_n against the weight (1-u^2)^{(n-3)/2}; Fejer's first rule for that
+weight is built by one DCT in O(N log N), with N = 500/eps polar nodes.
 """
 
 import math
@@ -17,12 +24,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dct
 from scipy.integrate import quad
-from scipy.special import roots_jacobi, roots_legendre
 
 from .bodies import ConvexBody, make_ball, minkowski_support
 from .mixed import mixed_area_density
-from .sphere import SphereGrid, build_grid, sphere_area
+from .sphere import SphereGrid, sphere_area
 
 __all__ = [
     "CounterexampleDensity",
@@ -225,69 +232,43 @@ def gw_zonal_by_parts(phi: ZonalTestFunction, n: int) -> float:
     return omega * _piecewise_quad(integrand, knots)
 
 
-_oracle_grid_cache: dict = {}
+def _polar_rule(n: int, count: int):
+    """Fejer's first rule for integral_{-1}^{1} g(u) (1-u^2)^{(n-3)/2} du.
 
-
-def _zonal_refined_grid(n: int, polar_points: int, angle_points: int = 16) -> SphereGrid:
-    """Sphere quadrature grid with dense polar resolution in the last coordinate.
-
-    A product rule like build_grid but with independent polar and angular
-    counts; the sharp zonal integrands of this module need far more polar
-    nodes than the generic rule's coupled counts would allocate.
+    Nodes are the Chebyshev points u_k = cos((2k+1) pi / (2 count)); the
+    weights are one type-III DCT of the Chebyshev moments m_j of the weight
+    (zero for odd j, m_{j+2} = m_j (j-n+2)/(j+n)), so the rule integrates
+    polynomials of degree < count exactly in O(count log count).
     """
-    key = (n, polar_points, angle_points)
-    if key not in _oracle_grid_cache:
-        _oracle_grid_cache.clear()  # hold one fine grid at a time
-        if n == 2:
-            raise ValueError("zonal grids need n >= 3")
-        inner = (
-            SphereGrid(
-                n=2,
-                nodes=np.column_stack(
-                    [
-                        np.cos(2 * np.pi * np.arange(angle_points) / angle_points),
-                        np.sin(2 * np.pi * np.arange(angle_points) / angle_points),
-                    ]
-                ),
-                weights=np.full(angle_points, 2 * np.pi / angle_points),
-                degree=angle_points - 1,
-            )
-            if n == 3
-            else build_grid(n - 1, 8)
-        )
-        alpha = 0.5 * (n - 3)
-        if alpha == 0.0:
-            u, w = roots_legendre(polar_points)
-        else:
-            u, w = roots_jacobi(polar_points, alpha, alpha)
-        s = np.sqrt(1.0 - u * u)
-        m_prev = inner.size
-        nodes = np.empty((polar_points * m_prev, n))
-        nodes[:, : n - 1] = (s[:, None, None] * inner.nodes[None, :, :]).reshape(-1, n - 1)
-        nodes[:, n - 1] = np.repeat(u, m_prev)
-        weights = (w[:, None] * inner.weights[None, :]).ravel()
-        _oracle_grid_cache[key] = SphereGrid(n=n, nodes=nodes, weights=weights, degree=inner.degree)
-    return _oracle_grid_cache[key]
+    j = np.arange(0, count - 2, 2)
+    m = np.zeros(count)
+    m[0] = math.sqrt(math.pi) * math.gamma((n - 1) / 2) / math.gamma(n / 2)
+    m[2::2] = m[0] * np.cumprod((j - n + 2) / (j + n))
+    u = np.cos((2 * np.arange(count) + 1) * np.pi / (2 * count))
+    return u, dct(m, type=3) / count
 
 
 def gw_sphere_oracle(phi: ZonalTestFunction, n: int = 3, polar_points: int | None = None) -> float:
-    """Full sphere-quadrature evaluation of the pairing (independent oracle).
+    """Sphere-quadrature evaluation of the pairing (independent oracle).
 
-    Integrates f(x_n) [Delta_S phi~ + (n-1) phi~] over S^{n-1}, with
+    Integrates F = f(x_n) [Delta_S phi~ + (n-1) phi~] over S^{n-1}, with
     Delta_S phi(x_n) = (1-t^2) phi''(t) - (n-1) t phi'(t) on zonal functions.
-    The polar node count scales with 1/eps to resolve the bump transitions.
+    F depends on u = x_n alone, so the angular factor of the surface measure
+    |S^{n-2}| (1-u^2)^{(n-3)/2} du dS^{n-2} integrates exactly to |S^{n-2}|
+    and only the polar variable needs a rule: Fejer's first rule for the
+    weight (1-u^2)^{(n-3)/2}.  Its default 500/eps nodes (at most 60 000)
+    put about 80 nodes across the narrowest bump transition.
     """
+    if n < 3:
+        raise ValueError("the zonal sphere oracle needs n >= 3")
     if polar_points is None:
-        # flat count keeps the grid cached across bumps; 12000 polar nodes
-        # resolve transitions down to eps ~ 0.03 well below the 1e-5 target
-        polar_points = 12_000 if phi.eps >= 0.03 else int(min(60_000, 400.0 / phi.eps))
-    grid = _zonal_refined_grid(n, polar_points)
-    t = grid.nodes[:, -1]
-    f = CounterexampleDensity(n)(t)
+        polar_points = int(min(60_000, 500.0 / phi.eps))
+    u, w = _polar_rule(n, polar_points)
+    f = CounterexampleDensity(n)(u)
     vals = f * (
-        (1.0 - t * t) * phi.d2phi(t) - (n - 1) * t * phi.dphi(t) + (n - 1) * phi.phi(t)
+        (1.0 - u * u) * phi.d2phi(u) - (n - 1) * u * phi.dphi(u) + (n - 1) * phi.phi(u)
     )
-    return grid.integrate(vals)
+    return sphere_area(n - 1) * float(np.dot(w, vals))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from .sphere import (
 
 __all__ = [
     "CombinationTerm",
+    "ConvexificationFailure",
     "FiniteCombination",
     "KernelValuation",
     "accumulate_g_alpha",
@@ -152,6 +153,10 @@ def parity_project(g, parity: str):
     return CallableSpherical(lambda X: 0.5 * (g.values(X) + sign * g.values(-np.asarray(X))))
 
 
+class ConvexificationFailure(RuntimeError):
+    """No radius up to the doubling limit made L+ = g + R certifiably convex."""
+
+
 def convexify(g, grid: SphereGrid, threshold: float = 1e-6, max_doublings: int = 10):
     """Split g = h_{L+} - h_{L-} with both bodies certified convex.
 
@@ -176,7 +181,7 @@ def convexify(g, grid: SphereGrid, threshold: float = 1e-6, max_doublings: int =
         except ConvexityViolation as err:
             last_error = err
             radius *= 2.0
-    raise RuntimeError(f"convexification failed up to radius {radius}: {last_error}")
+    raise ConvexificationFailure(f"convexification failed up to radius {radius}: {last_error}")
 
 
 @dataclass(frozen=True)

@@ -206,7 +206,7 @@ def test_criterion_6_counterexample_divergence():
     assert worst_parts <= 1e-7
     assert worst_oracle <= 1e-5
     elapsed = time.perf_counter() - start
-    assert elapsed < 30.0
+    assert elapsed < 10.0
     _report(
         "6 divergence",
         elapsed,

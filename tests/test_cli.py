@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import valforge as vf
 from valforge.cli import main
 
 
@@ -242,10 +243,33 @@ def test_counterexample_single_eps(tmp_path, capsys):
     assert rows[1].endswith("pass")
 
 
-def test_counterexample_bad_sweep(capsys):
-    code, _, err = run(capsys, "counterexample", "--eps-sweep", "nonsense")
-    assert code == 2
-    assert "input error" in err
+def test_counterexample_bad_sweep(tmp_path, capsys):
+    bad_inputs = (
+        ("--eps-sweep", "nonsense"),
+        ("--eps-sweep", "0.1:0.01:3"),  # eps >= 1/12: the plateau leaves [eps/2, 1/3]
+        ("--eps-sweep", "1e-2:1e-5:0"),  # empty sweep
+        ("--n", "2"),
+    )
+    for argv in bad_inputs:
+        code, _, err = run(capsys, "counterexample", *argv, "--out", str(tmp_path))
+        assert code == 2, argv
+        assert "input error" in err, argv
+    assert not (tmp_path / "divergence.csv").exists()
+
+
+def test_synthesize_convexification_failure_exits_1(tmp_path, capsys, monkeypatch, grid20):
+    def never_convex(*args, **kwargs):
+        raise vf.ConvexityViolation(np.array([0.0, 0.0, 1.0]), -1.0)
+
+    monkeypatch.setattr("valforge.synthesis.make_perturbed_ball", never_convex)
+    with pytest.raises(vf.ConvexificationFailure) as info:
+        vf.convexify(vf.combine_dictionary(3, {}), grid20)
+    assert isinstance(info.value, RuntimeError)
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(synth_config(tmp_path)))
+    code, _, err = run(capsys, "synthesize", "--config", str(cfg))
+    assert code == 1
+    assert "mathematical check failed: convexification failed" in err
 
 
 def test_commands_deterministic(tmp_path, capsys):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import beta
 
 import valforge as vf
-from valforge.counterexample import CounterexampleDensity, ZonalTestFunction
+from valforge.counterexample import CounterexampleDensity, ZonalTestFunction, _polar_rule
 from conftest import random_perturbed_ball, random_spd
 
 
@@ -115,9 +116,21 @@ def test_gw_zonal_integration_by_parts(eps):
 @pytest.mark.parametrize("eps", [0.04, 0.055, 0.07])
 def test_gw_zonal_matches_sphere_oracle(eps):
     phi = vf.make_zonal_bump(eps)
-    a = vf.gw_zonal(phi, 3)
-    c = vf.gw_sphere_oracle(phi, 3)
-    assert c == pytest.approx(a, rel=1e-5)
+    for n in (3, 4):
+        a = vf.gw_zonal(phi, n)
+        c = vf.gw_sphere_oracle(phi, n)
+        assert c == pytest.approx(a, rel=1e-7), n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_polar_rule_weights_and_exactness(n):
+    count = 40
+    u, w = _polar_rule(n, count)
+    assert np.all(w > 0)
+    assert w.sum() == pytest.approx(vf.sphere_area(n) / vf.sphere_area(n - 1), rel=1e-14)
+    # interpolatory: exact on u^{2j} (1-u^2)^{(n-3)/2} for every 2j <= count - 1
+    for j in range(count // 2):
+        assert np.dot(w, u ** (2 * j)) == pytest.approx(beta(j + 0.5, (n - 1) / 2), rel=1e-12)
 
 
 def test_divergence_probe_bounds():
