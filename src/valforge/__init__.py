@@ -86,6 +86,7 @@ from .synthesis import (
     ConvexificationFailure,
     FiniteCombination,
     KernelValuation,
+    TermBoundExceeded,
     accumulate_g_alpha,
     combination_from_dict,
     combination_to_dict,

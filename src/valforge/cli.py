@@ -38,6 +38,7 @@ from .sphere import build_grid
 from .synthesis import (
     ConvexificationFailure,
     KernelValuation,
+    TermBoundExceeded,
     combination_from_dict,
     combination_to_dict,
     evaluate_combination,
@@ -452,6 +453,7 @@ def main(argv=None) -> int:
         ReconstructionFailure,
         ConvexityViolation,
         ConvexificationFailure,
+        TermBoundExceeded,
     ) as err:
         print(f"mathematical check failed: {err}", file=sys.stderr)
         return EXIT_MATH

@@ -1,7 +1,12 @@
 """Homogeneous harmonic polynomials and orthonormal band-limited dictionaries.
 
-A degree-l harmonic polynomial p restricted to the sphere has the closed-form
-extension Hessian
+A polynomial stores its coefficients in the canonical (sorted) degree-l
+monomial order and evaluates as M_l c with the monomial table
+M_l[g, t] = x_g^{e_t}, gathered from one power table P[g, i, d] = x_{g,i}^d
+that is filled by repeated multiplication and shared by every degree of a
+call.  Exact integer maps on coefficient vectors give grad p and Hess p from
+the tables of degrees l-1 and l-2.  A degree-l harmonic polynomial p
+restricted to the sphere has the closed-form extension Hessian
 
     H(x) = Hess p(x) + (1-l) [ p(x) (Id - (l+1) x x^T) + x (grad p)^T + (grad p) x^T ],
 
@@ -9,9 +14,9 @@ obtained by differentiating |y|^{1-l} p(y) twice and evaluating at |x| = 1.
 Restrictions of harmonics of distinct degrees are L2-orthogonal on the sphere,
 so an orthonormal dictionary up to a cutoff degree provides exact expansions
 of band-limited fields.  The dictionary construction is fully deterministic:
-the harmonic coefficient spaces are rational nullspaces of the (integer)
-Laplacian matrix on monomials, orthonormalized against the exact monomial
-sphere integrals.
+the harmonic coefficient spaces are rational nullspaces of the integer
+Laplacian (the trace of the Hessian map), orthonormalized against the exact
+monomial sphere integrals.
 """
 
 import itertools
@@ -28,81 +33,87 @@ __all__ = [
     "HarmonicCombination",
     "harmonic_dictionary",
     "dictionary_size",
+    "dictionary_values",
     "combine_dictionary",
     "project_to_dictionary",
     "parity_filter_coeffs",
 ]
 
 
+@lru_cache(maxsize=None)
 def _monomial_exponents(n: int, degree: int) -> np.ndarray:
-    """All exponent tuples of total degree ``degree`` in n variables, sorted."""
-    if degree == 0:
-        return np.zeros((1, n), dtype=int)
+    """Exponent rows of total degree ``degree`` in n variables, sorted: the canonical order."""
+    if degree < 0:
+        return np.zeros((0, n), dtype=int)
     rows = []
     for combo in itertools.combinations_with_replacement(range(n), degree):
         e = [0] * n
         for i in combo:
             e[i] += 1
         rows.append(e)
-    rows = sorted(set(map(tuple, rows)))
-    return np.asarray(rows, dtype=int)
+    rows = np.asarray(sorted(set(map(tuple, rows))), dtype=int)
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _monomial_index(n: int, degree: int) -> dict:
+    """Position of each exponent tuple in the canonical order."""
+    return {tuple(e): t for t, e in enumerate(_monomial_exponents(n, degree).tolist())}
+
+
+def _monomial_tables(X: np.ndarray, degrees) -> dict:
+    """{l: M_l} with M_l[g, t] = x_g^{e_t} over the canonical degree-l monomials.
+
+    One power table P[g, i, d] = x_{g,i}^d, filled by repeated multiplication,
+    serves every degree; each M_l is the product of n gathers from it.
+    Negative degrees give empty (G, 0) tables.
+    """
+    n = X.shape[1]
+    P = np.ones(X.shape + (max(degrees, default=0) + 1,))
+    for d in range(1, P.shape[2]):
+        P[:, :, d] = P[:, :, d - 1] * X
+    tables = {}
+    for l in degrees:
+        exps = _monomial_exponents(n, l)
+        M = P[:, 0, exps[:, 0]]
+        for i in range(1, n):
+            M = M * P[:, i, exps[:, i]]
+        tables[l] = M
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _derivative_maps(n: int, degree: int):
+    """Exact integer gradient (n, T_{l-1}, T_l) and Hessian (n, n, T_{l-2}, T_l) maps."""
+
+    def gradient_map(l):
+        index = _monomial_index(n, l - 1)
+        D = np.zeros((n, len(index), len(_monomial_exponents(n, l))))
+        for t, e in enumerate(_monomial_exponents(n, l).tolist()):
+            for i in np.flatnonzero(e):
+                D[i, index[tuple(e[:i] + [e[i] - 1] + e[i + 1 :])], t] = e[i]
+        return D
+
+    grad = gradient_map(degree)
+    return grad, np.einsum("jab,ibc->ijac", gradient_map(degree - 1), grad)
 
 
 class HomogeneousPolynomial:
-    """Homogeneous polynomial sum_t c_t * x^{e_t} with integer exponent rows."""
+    """Homogeneous polynomial sum_t c_t * x^{e_t}, stored in the canonical monomial order."""
 
     def __init__(self, exponents: np.ndarray, coeffs: np.ndarray):
-        self.exponents = np.asarray(exponents, dtype=int)
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.n = self.exponents.shape[1]
-        self.degree = int(self.exponents[0].sum()) if len(self.exponents) else 0
-        self._grad = None
-        self._hess = None
+        rows = np.asarray(exponents, dtype=int)
+        self.n = rows.shape[1]
+        self.degree = int(rows[0].sum()) if len(rows) else 0
+        self.exponents = _monomial_exponents(self.n, self.degree)
+        index = _monomial_index(self.n, self.degree)
+        self.coeffs = np.zeros(len(self.exponents))
+        np.add.at(self.coeffs, [index[tuple(e)] for e in rows.tolist()], np.asarray(coeffs, dtype=float))
 
     def values(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if len(self.coeffs) == 0:
-            return np.zeros(X.shape[0])
-        powers = np.prod(X[:, None, :] ** self.exponents[None, :, :], axis=2)
-        return powers @ self.coeffs
-
-    def partial(self, i: int) -> "HomogeneousPolynomial":
-        keep = self.exponents[:, i] > 0
-        if not np.any(keep):
-            return HomogeneousPolynomial(np.zeros((0, self.n), dtype=int), np.zeros(0))
-        exps = self.exponents[keep].copy()
-        coefs = self.coeffs[keep] * exps[:, i]
-        exps[:, i] -= 1
-        return HomogeneousPolynomial(exps, coefs)
-
-    def gradient(self):
-        if self._grad is None:
-            self._grad = [self.partial(i) for i in range(self.n)]
-        return self._grad
-
-    def hessian_polys(self):
-        if self._hess is None:
-            grad = self.gradient()
-            self._hess = [[grad[i].partial(j) for j in range(self.n)] for i in range(self.n)]
-        return self._hess
-
-    def gradient_values(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        out = np.empty((X.shape[0], self.n))
-        for i, p in enumerate(self.gradient()):
-            out[:, i] = p.values(X)
-        return out
-
-    def hessian_values(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        hp = self.hessian_polys()
-        out = np.empty((X.shape[0], self.n, self.n))
-        for i in range(self.n):
-            for j in range(i, self.n):
-                vals = hp[i][j].values(X)
-                out[:, i, j] = vals
-                out[:, j, i] = vals
-        return out
+        return _monomial_tables(X, [self.degree])[self.degree] @ self.coeffs
 
 
 def _rational_nullspace(M: np.ndarray) -> np.ndarray:
@@ -146,16 +157,7 @@ def _harmonic_coefficients(n: int, degree: int):
     if degree < 2:
         raw = np.eye(len(exps))
     else:
-        low = _monomial_exponents(n, degree - 2)
-        low_index = {tuple(e): r for r, e in enumerate(low)}
-        M = np.zeros((len(low), len(exps)), dtype=np.int64)
-        for c, e in enumerate(exps):
-            for i in range(n):
-                if e[i] >= 2:
-                    target = e.copy()
-                    target[i] -= 2
-                    M[low_index[tuple(target)], c] += e[i] * (e[i] - 1)
-        raw = _rational_nullspace(M)
+        raw = _rational_nullspace(np.einsum("iiab->ab", _derivative_maps(n, degree)[1]))
 
     pair_integrals = np.empty((len(exps), len(exps)))
     for s in range(len(exps)):
@@ -191,20 +193,23 @@ class HarmonicCombination(SphericalFunction):
 
     def values(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        tables = _monomial_tables(X, {p.degree for _, p in self.pieces})
         out = np.zeros(X.shape[0])
         for _, p in self.pieces:
-            out += p.values(X)
+            out += tables[p.degree] @ p.coeffs
         return out
 
     def hessians(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         m, n = X.shape
+        tables = _monomial_tables(X, {p.degree - d for _, p in self.pieces for d in range(3)})
         out = np.zeros((m, n, n))
         eye = np.eye(n)
         for l, p in self.pieces:
-            vals = p.values(X)
-            grad = p.gradient_values(X)
-            out += p.hessian_values(X)
+            d1, d2 = _derivative_maps(n, p.degree)
+            vals = tables[p.degree] @ p.coeffs
+            grad = tables[p.degree - 1] @ (d1 @ p.coeffs).T
+            out += (tables[p.degree - 2] @ (d2 @ p.coeffs).reshape(n * n, -1).T).reshape(m, n, n)
             c = 1.0 - l
             out += c * vals[:, None, None] * (eye[None, :, :] - (l + 1.0) * X[:, :, None] * X[:, None, :])
             cross = X[:, :, None] * grad[:, None, :]
@@ -214,9 +219,10 @@ class HarmonicCombination(SphericalFunction):
     def spherical_gradients(self, X):
         """Intrinsic gradient of the restriction, (I - x x^T) grad p, shape (m, n)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        tables = _monomial_tables(X, {p.degree - d for _, p in self.pieces for d in range(2)})
         out = np.zeros_like(X)
         for _, p in self.pieces:
-            out += p.gradient_values(X)
+            out += tables[p.degree - 1] @ (_derivative_maps(X.shape[1], p.degree)[0] @ p.coeffs).T
         radial = np.einsum("ij,ij->i", out, X)
         return out - radial[:, None] * X
 
@@ -259,16 +265,24 @@ def combine_dictionary(n: int, coeffs: dict) -> HarmonicCombination:
     return HarmonicCombination(pieces, dict_coeffs={(int(l), int(j)): float(c) for (l, j), c in coeffs.items()})
 
 
+def dictionary_values(X: np.ndarray, max_degree: int) -> np.ndarray:
+    """Values of every dictionary entry at the rows of X, shape (D, G): M_l rows_l^T per degree."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    tables = _monomial_tables(X, range(max_degree + 1))
+    return np.vstack([(tables[l] @ _harmonic_coefficients(X.shape[1], l)[1].T).T for l in range(max_degree + 1)])
+
+
 def project_to_dictionary(values: np.ndarray, grid, max_degree: int) -> dict:
-    """L2 projection coefficients of node values onto the dictionary.
+    """L2 projection coefficients of node values onto the dictionary, rows_l M_l^T (w g) per degree.
 
     Exact for band-limited inputs when grid.degree >= 2 * max_degree.
     """
-    coeffs = {}
     weighted = grid.weights * np.asarray(values, dtype=float)
-    for entry in harmonic_dictionary(grid.n, max_degree):
-        c = float(entry.values(grid.nodes) @ weighted)
-        coeffs[(entry.degree, entry.index)] = c
+    tables = _monomial_tables(grid.nodes, range(max_degree + 1))
+    coeffs = {}
+    for l in range(max_degree + 1):
+        rows = _harmonic_coefficients(grid.n, l)[1]
+        coeffs.update({(l, j): float(c) for j, c in enumerate(rows @ (tables[l].T @ weighted))})
     return coeffs
 
 

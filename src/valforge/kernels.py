@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import HarmonicCombination, combine_dictionary, harmonic_dictionary
+from .harmonics import HarmonicCombination, combine_dictionary, dictionary_values, harmonic_dictionary
 from .sphere import SphereGrid, build_grid, restricted_hessian_stack, tangent_bases
 
 __all__ = [
@@ -115,7 +115,7 @@ def decompose_kernel(
     if grid is None:
         grid = build_grid(n, 2 * max_degree + 2)
     entries = harmonic_dictionary(n, max_degree)
-    phi = np.stack([e.values(grid.nodes) for e in entries])  # (D, G)
+    phi = dictionary_values(grid.nodes, max_degree)  # (D, G)
     weighted = phi * grid.weights[None, :]
 
     g = grid.size

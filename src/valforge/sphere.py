@@ -331,19 +331,15 @@ def mixed_discriminant(forms) -> float:
 
     Computed by inclusion-exclusion over subsets,
     (1/m!) sum_{S subset [m]} (-1)^{m-|S|} det(sum_{i in S} A_i),
-    which is fully symmetric and multilinear in the arguments.
+    which is fully symmetric and multilinear in the arguments; this is the
+    one-point case of ``mixed_discriminant_stack``.
     """
     mats = _as_matrices(forms)
     m = len(mats)
     for A in mats:
         if A.shape != (m, m):
             raise ValueError(f"mixed discriminant of {m} forms needs {m}x{m} matrices, got {A.shape}")
-    total = 0.0
-    for r in range(1, m + 1):
-        sign = (-1.0) ** (m - r)
-        for combo in itertools.combinations(range(m), r):
-            total += sign * float(np.linalg.det(sum(mats[i] for i in combo)))
-    return total / math.factorial(m)
+    return float(mixed_discriminant_stack([A[None] for A in mats])[0])
 
 
 def mixed_discriminant_stack(stacks) -> np.ndarray:

@@ -41,6 +41,7 @@ __all__ = [
     "ConvexificationFailure",
     "FiniteCombination",
     "KernelValuation",
+    "TermBoundExceeded",
     "accumulate_g_alpha",
     "combination_from_dict",
     "combination_to_dict",
@@ -208,6 +209,10 @@ class FiniteCombination:
         return 2 * len(self.terms)
 
 
+class TermBoundExceeded(RuntimeError):
+    """Synthesis produced more alpha-terms than ``mixed_volume_count_bound`` allows."""
+
+
 def mixed_volume_count_bound(n: int, k: int) -> int:
     """2 * C(C(n+1, 2) + n - k - 1, n - k - 1), the worst-case term count."""
     return 2 * math.comb(math.comb(n + 1, 2) + n - k - 1, n - k - 1)
@@ -244,7 +249,7 @@ def synthesize(
         )
     bound = mixed_volume_count_bound(n, v.k)
     if 2 * len(terms) > bound:
-        raise AssertionError(f"term count {len(terms)} exceeds the combinatorial bound {bound // 2}")
+        raise TermBoundExceeded(f"term count {len(terms)} exceeds the combinatorial bound {bound // 2}")
     return FiniteCombination(
         n=n, k=v.k, family=family, terms=tuple(terms), kernel_max_degree=v.decomposition.max_degree
     )

@@ -272,6 +272,20 @@ def test_synthesize_convexification_failure_exits_1(tmp_path, capsys, monkeypatc
     assert "mathematical check failed: convexification failed" in err
 
 
+def test_synthesize_term_bound_exits_1(tmp_path, capsys, monkeypatch, family3, frame3):
+    monkeypatch.setattr("valforge.synthesis.mixed_volume_count_bound", lambda n, k: 0)
+    kernel = vf.harmonic_table_kernel(3, [(1.0, [(0, 0), (0, 0)])])
+    v = vf.KernelValuation(n=3, k=1, decomposition=vf.decompose_kernel(kernel, 2, 2))
+    with pytest.raises(vf.TermBoundExceeded) as info:
+        vf.synthesize(v, family3, frame3)
+    assert isinstance(info.value, RuntimeError)
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(synth_config(tmp_path)))
+    code, _, err = run(capsys, "synthesize", "--config", str(cfg))
+    assert code == 1
+    assert "mathematical check failed: term count" in err
+
+
 def test_commands_deterministic(tmp_path, capsys):
     outputs = []
     for run_dir in ("a", "b"):

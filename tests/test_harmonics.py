@@ -1,14 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from valforge.harmonics import (
+    HomogeneousPolynomial,
+    _monomial_exponents,
     combine_dictionary,
     harmonic_dictionary,
     parity_filter_coeffs,
     project_to_dictionary,
 )
-from valforge.sphere import fd_hessians, restricted_hessian_stack, tangent_bases
+from valforge.sphere import build_grid, fd_hessians, restricted_hessian_stack, tangent_bases
+from conftest import random_unit
+
+DEGREES = range(9)
+
+
+def seeds(test):
+    """Run ``test`` on five hypothesis-drawn rng seeds."""
+    return settings(max_examples=5, deadline=None)(given(seed=st.integers(0, 2**32 - 1))(test))
+
+
+def random_degree_piece(rng, n, l):
+    """Unit-norm random combination of the degree-l dictionary entries."""
+    labels = [(e.degree, e.index) for e in harmonic_dictionary(n, l) if e.degree == l]
+    c = rng.normal(size=len(labels))
+    c /= np.linalg.norm(c)
+    return combine_dictionary(n, dict(zip(labels, c)))
 
 
 def test_dictionary_sizes():
@@ -89,3 +109,74 @@ def test_antipodal_degree_parity():
     for l in range(5):
         entry = [e for e in harmonic_dictionary(3, l) if e.degree == l][0]
         assert_allclose(entry.values(-X), (-1.0) ** l * entry.values(X), atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@seeds
+def test_values_match_direct_powers(n, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(7, n))
+    for l in DEGREES:
+        exps = _monomial_exponents(n, l)
+        c = rng.normal(size=len(exps))
+        direct = np.prod(X[:, None, :] ** exps[None, :, :], axis=2) @ c
+        assert_allclose(HomogeneousPolynomial(exps, c).values(X), direct, rtol=1e-12, atol=1e-12)
+        f = random_degree_piece(rng, n, l)
+        (_, p), = f.pieces
+        direct = np.prod(X[:, None, :] ** p.exponents[None, :, :], axis=2) @ p.coeffs
+        assert_allclose(f.values(X), direct, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@seeds
+def test_hessians_match_fd_and_annihilate_x(n, seed):
+    rng = np.random.default_rng(seed)
+    X = random_unit(rng, n, 6)
+    for l in DEGREES:
+        f = random_degree_piece(rng, n, l)
+        H = f.hessians(X)
+        assert np.max(np.abs(H - fd_hessians(f, X))) < 1e-6, l
+        assert np.max(np.abs(np.einsum("gij,gj->gi", H, X))) < 1e-12, l
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@seeds
+def test_spherical_gradients_tangent_and_match_fd(n, seed):
+    rng = np.random.default_rng(seed)
+    X = random_unit(rng, n, 6)
+    T = rng.normal(size=X.shape)
+    T -= np.einsum("gi,gi->g", T, X)[:, None] * X
+    T /= np.linalg.norm(T, axis=1)[:, None]
+    s = 1e-5
+    for l in DEGREES:
+        f = random_degree_piece(rng, n, l)
+        grads = f.spherical_gradients(X)
+        assert np.max(np.abs(np.einsum("gi,gi->g", grads, X))) < 1e-12, l
+        fd = (f.values(np.cos(s) * X + np.sin(s) * T) - f.values(np.cos(s) * X - np.sin(s) * T)) / (2 * s)
+        assert_allclose(np.einsum("gi,gi->g", grads, T), fd, atol=1e-6, err_msg=f"degree {l}")
+
+
+@seeds
+def test_projection_roundtrip_n4(seed):
+    rng = np.random.default_rng(seed)
+    grid = build_grid(4, 8)
+    coeffs = {(e.degree, e.index): rng.normal() for e in harmonic_dictionary(4, 4) if rng.random() < 0.3}
+    recovered = project_to_dictionary(combine_dictionary(4, coeffs).values(grid.nodes), grid, 4)
+    assert len(recovered) == len(harmonic_dictionary(4, 4))
+    for key, c in recovered.items():
+        assert c == pytest.approx(coeffs.get(key, 0.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@seeds
+def test_shuffled_exponent_rows_evaluate_the_same(n, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(5, n))
+    for l in DEGREES:
+        exps = _monomial_exponents(n, l)
+        c = rng.normal(size=len(exps))
+        perm = rng.permutation(len(exps))
+        shuffled = HomogeneousPolynomial(exps[perm], c[perm])
+        canonical = HomogeneousPolynomial(exps, c)
+        assert_allclose(shuffled.coeffs, canonical.coeffs, rtol=0, atol=0)
+        assert_allclose(shuffled.values(X), canonical.values(X), rtol=0, atol=0)
