@@ -285,26 +285,35 @@ def _icosphere(level: int) -> np.ndarray:
     return out
 
 
+# the two vertices a triangle shares with its neighbour opposite local vertex 0, 1, 2
+_SHARED_VERTICES = np.array([[1, 2], [0, 2], [0, 1]])
+
+
+def hull_edges(hull: ConvexHull):
+    """Unit facet normals and every edge of a 3-d hull's triangulation once.
+
+    Returns (normals, f, g, ends, theta): the edge between facets f < g runs
+    from ends[:, 0] to ends[:, 1] and has exterior dihedral angle theta (0 on
+    edges between coplanar triangles).
+    """
+    normals = hull.equations[:, :3]
+    normals = normals / np.linalg.norm(normals, axis=1)[:, None]
+    f, local = np.nonzero(hull.neighbors > np.arange(len(hull.neighbors))[:, None])
+    g = hull.neighbors[f, local]
+    ends = hull.points[hull.simplices[f[:, None], _SHARED_VERTICES[local]]]
+    nf, ng = normals[f], normals[g]
+    theta = np.arctan2(np.linalg.norm(np.cross(nf, ng), axis=1), np.einsum("ij,ij->i", nf, ng))
+    return normals, f, g, ends, theta
+
+
 def mean_support_integral(vertices) -> float:
     """Exact integral of a 3-polytope support function over the sphere.
 
     Equals the edge functional sum_e len_e * theta_e / 2 (theta_e the exterior
     dihedral angle), obtained from the parallel-body decomposition.
     """
-    hull = ConvexHull(np.asarray(vertices, dtype=float))
-    normals = hull.equations[:, :3]
-    normals = normals / np.linalg.norm(normals, axis=1)[:, None]
-    total = 0.0
-    for f, simplex in enumerate(hull.simplices):
-        for local, g in enumerate(hull.neighbors[f]):
-            if g < f:
-                continue
-            shared = [v for li, v in enumerate(simplex) if li != local]
-            length = float(np.linalg.norm(hull.points[shared[1]] - hull.points[shared[0]]))
-            nf, ng = normals[f], normals[g]
-            theta = math.atan2(float(np.linalg.norm(np.cross(nf, ng))), float(np.dot(nf, ng)))
-            total += 0.5 * length * theta
-    return total
+    _, _, _, ends, theta = hull_edges(ConvexHull(np.asarray(vertices, dtype=float)))
+    return 0.5 * float(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1) @ theta)
 
 
 def ball_approx(level: int, calibrate: bool = True) -> ConvexBody:

@@ -5,8 +5,7 @@ Conventions: JSON for artifacts and reports, CSV for tables, newline-delimited
 "x y" text for plot data.  Exit codes: 0 success, 1 mathematical-check
 failure, 2 input/config error.  All floating fields serialize through repr
 (shortest exact decimal, 17 significant digits at most) and round-trip
-bit-exactly.  Commands are deterministic given (config, seed); the
-VALFORGE_THREADS environment variable caps internal parallelism.
+bit-exactly.  Commands are deterministic given (config, seed).
 """
 
 import argparse

@@ -5,9 +5,8 @@ Two independent mixed-volume backends serve as mutual oracles:
 * a quadrature route for smooth bodies, integrating the mixed discriminant of
   support Hessians against the sphere grid (a polytope is allowed only in the
   plain support-function slot);
-* a volume-polynomial route for polytopes, evaluating Minkowski-combination
-  volumes on a deterministic integer coefficient grid and extracting the
-  symmetric mixed coefficient from the exact degree-n polynomial fit.
+* a polarization route for polytopes, the inclusion-exclusion sum of the
+  2^n - 1 volumes of Minkowski sums of nonempty subsets of the bodies.
 
 Minkowski-sum volumes default to convex hulls of vertex sums; for large vertex
 sets in R^3 an exact Gauss-map overlay evaluator (facet and edge-crossing
@@ -17,16 +16,14 @@ the product vertex set.
 
 import itertools
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 from scipy.special import comb
 
-from .bodies import ConvexBody, NotSmoothError
+from .bodies import ConvexBody, NotSmoothError, hull_edges
 from .sphere import (
     SphereGrid,
     ball_volume,
@@ -49,13 +46,6 @@ __all__ = [
 
 # vertex-product size beyond which the n=3 overlay engine takes over in "auto"
 _HULL_POINT_LIMIT = 200_000
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("VALFORGE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -192,9 +182,13 @@ class _GaussMapOverlay:
             raise OverlayDegenerateError("overlay engine is specific to R^3")
         self._facets = []  # per body: (normals, areas)
         self._arcs = []  # per body: dict with endpoints a, b, edge vectors w
+        self._hull_volumes = []
         for V in self.vertex_sets:
-            self._facets.append(self._facet_data(V))
-            self._arcs.append(self._arc_data(V))
+            hull = ConvexHull(V)
+            facets, arcs = self._hull_data(hull)
+            self._facets.append(facets)
+            self._arcs.append(arcs)
+            self._hull_volumes.append(float(hull.volume))
         self._crossings = []  # (i, j, directions, parallelogram areas)
         for i in range(self.m):
             for j in range(i + 1, self.m):
@@ -211,36 +205,15 @@ class _GaussMapOverlay:
         return np.stack([np.max(directions @ V.T, axis=1) for V in self.vertex_sets])
 
     @staticmethod
-    def _facet_data(V):
-        hull = ConvexHull(V)
-        normals = hull.equations[:, :3]
-        normals = normals / np.linalg.norm(normals, axis=1)[:, None]
+    def _hull_data(hull):
+        """Facet (normals, areas) and the normal arcs of the non-flat edges."""
+        normals, f, g, ends, theta = hull_edges(hull)
         simplices = hull.points[hull.simplices]
         cross = np.cross(simplices[:, 1] - simplices[:, 0], simplices[:, 2] - simplices[:, 0])
         areas = 0.5 * np.linalg.norm(cross, axis=1)
-        return normals, areas
-
-    @staticmethod
-    def _arc_data(V):
-        hull = ConvexHull(V)
-        normals = hull.equations[:, :3]
-        normals = normals / np.linalg.norm(normals, axis=1)[:, None]
-        a_list, b_list, w_list = [], [], []
-        for f, simplex in enumerate(hull.simplices):
-            for local, g in enumerate(hull.neighbors[f]):
-                if g < f:
-                    continue  # count each edge once
-                cosang = float(np.clip(normals[f] @ normals[g], -1.0, 1.0))
-                if 1.0 - cosang < 1e-12:
-                    continue  # coplanar triangulation edge, zero-length arc
-                shared = [v for li, v in enumerate(simplex) if li != local]
-                w = hull.points[shared[1]] - hull.points[shared[0]]
-                a_list.append(normals[f])
-                b_list.append(normals[g])
-                w_list.append(w)
-        if not a_list:
-            return {"a": np.zeros((0, 3)), "b": np.zeros((0, 3)), "w": np.zeros((0, 3))}
-        return {"a": np.asarray(a_list), "b": np.asarray(b_list), "w": np.asarray(w_list)}
+        arc = theta > 1e-6  # coplanar triangulation edges have zero-length arcs
+        w = ends[arc, 1] - ends[arc, 0]
+        return (normals, areas), {"a": normals[f[arc]], "b": normals[g[arc]], "w": w}
 
     @staticmethod
     def _cross_arcs(arcs_i, arcs_j, tol=1e-10):
@@ -304,10 +277,9 @@ class _GaussMapOverlay:
 
     def _self_check(self):
         # single-body volumes must reproduce the hull volumes exactly
-        for i, V in enumerate(self.vertex_sets):
+        for i, ref in enumerate(self._hull_volumes):
             lam = [0.0] * self.m
             lam[i] = 1.0
-            ref = float(ConvexHull(V).volume)
             got = self.volume(lam)
             if not math.isclose(got, ref, rel_tol=1e-9, abs_tol=1e-12):
                 raise OverlayDegenerateError(
@@ -330,19 +302,11 @@ class _GaussMapOverlay:
         return total / 3.0
 
 
-def _primitive(tup):
-    g = math.gcd(*tup)
-    if g <= 1:
-        return tup, 1
-    return tuple(v // g for v in tup), g
-
-
 def polytope_mixed_volume(bodies, engine: str = "auto") -> float:
-    """Mixed volume V(P_1, ..., P_n) of n polytopes via the volume polynomial.
+    """Mixed volume V(P_1, ..., P_n) of n polytopes by polarization.
 
-    Evaluates vol(sum_i lambda_i P_i) on the grid of all integer tuples with
-    entries in 0..n, fits the homogeneous degree-n polynomial exactly, and
-    extracts the coefficient of lambda_1 * ... * lambda_n divided by n!.
+    V(P_1, ..., P_n) = (1/n!) sum_S (-1)^(n - |S|) vol(sum_{i in S} P_i) over
+    the 2^n - 1 nonempty subsets S (Schneider, Convex Bodies, Sec. 5.1).
 
     ``engine`` selects the Minkowski-volume evaluator: "hull" (convex hulls of
     vertex sums), "overlay" (exact Gauss-map overlay, n = 3, generic position),
@@ -370,36 +334,12 @@ def polytope_mixed_volume(bodies, engine: str = "auto") -> float:
                 raise
             overlay = None
 
-    def volume_at(primitive):
-        if overlay is not None:
-            return overlay.volume(primitive)
-        return minkowski_volume(vertex_sets, primitive)
-
-    grid_tuples = list(itertools.product(range(n + 1), repeat=n))
-    primitives = sorted({_primitive(t)[0] for t in grid_tuples if any(t)})
-    threads = _thread_count()
-    if overlay is None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            prim_vols = dict(zip(primitives, pool.map(volume_at, primitives)))
-    else:
-        prim_vols = {p: volume_at(p) for p in primitives}
-
-    monomials = list(itertools.combinations_with_replacement(range(n), n))
-    design = np.empty((len(grid_tuples), len(monomials)))
-    target = np.empty(len(grid_tuples))
-    for r, tup in enumerate(grid_tuples):
-        if any(tup):
-            prim, g = _primitive(tup)
-            target[r] = float(g) ** n * prim_vols[prim]
-        else:
-            target[r] = 0.0
-        for c, mono in enumerate(monomials):
-            design[r, c] = math.prod(tup[i] for i in mono)
-    rank = np.linalg.matrix_rank(design)
-    assert rank == len(monomials), "volume-polynomial interpolation system lost rank"
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
-    mixed_index = monomials.index(tuple(range(n)))
-    return float(coeffs[mixed_index] / math.factorial(n))
+    total = 0.0
+    for subset in itertools.product((0, 1), repeat=n):
+        if any(subset):
+            vol = overlay.volume(subset) if overlay is not None else minkowski_volume(vertex_sets, subset)
+            total += (-1) ** (n - sum(subset)) * vol
+    return total / math.factorial(n)
 
 
 # -- Steiner coefficients -----------------------------------------------------

@@ -72,7 +72,7 @@ def test_criterion_3_mixed_volume_oracles(grid20):
         worst = max(worst, abs(vq - vp) / abs(vq))
     assert worst <= 1e-3
     elapsed = time.perf_counter() - start
-    assert elapsed < 60.0
+    assert elapsed < 15.0
     _report("3 mixed-volume-oracles", elapsed, f"triple-route worst rel err {worst:.3e}")
 
 

@@ -136,6 +136,30 @@ def test_ball_approx_support_integral():
     assert mean_support_integral(approx.vertices) == pytest.approx(4 * np.pi, rel=1e-12)
 
 
+def test_mean_support_integral_matches_edge_loop():
+    from scipy.spatial import ConvexHull
+
+    from valforge.bodies import _icosphere, mean_support_integral
+
+    def edge_loop(V):
+        # sum over facets f and neighbours g > f of len_e * theta_e / 2
+        hull = ConvexHull(V)
+        normals = hull.equations[:, :3] / np.linalg.norm(hull.equations[:, :3], axis=1)[:, None]
+        total = 0.0
+        for f, simplex in enumerate(hull.simplices):
+            for local, g in enumerate(hull.neighbors[f]):
+                if g > f:
+                    p, q = (hull.points[v] for li, v in enumerate(simplex) if li != local)
+                    nf, ng = normals[f], normals[g]
+                    theta = np.arctan2(np.linalg.norm(np.cross(nf, ng)), nf @ ng)
+                    total += 0.5 * np.linalg.norm(q - p) * theta
+        return total
+
+    rng = np.random.default_rng(11)
+    for V in (rng.normal(size=(30, 3)), _icosphere(2) @ random_spd(rng)):
+        assert mean_support_integral(V) == pytest.approx(edge_loop(V), rel=1e-13)
+
+
 def test_ellipsoid_approx_tracks_support(grid20):
     rng = np.random.default_rng(4)
     A = random_spd(rng)

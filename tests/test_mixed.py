@@ -1,9 +1,14 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import valforge as vf
-from valforge.mixed import _GaussMapOverlay, minkowski_volume, parallel_body_volume
+from valforge.mixed import OverlayDegenerateError, _GaussMapOverlay, minkowski_volume, parallel_body_volume
 from conftest import random_perturbed_ball, random_rotation, random_spd
 
 
@@ -181,12 +186,62 @@ def test_polytope_mixed_volume_engines_agree():
 
 def test_routes_agree_on_ellipsoid_triples(grid20):
     rng = np.random.default_rng(7)
+    triples = []
     for _ in range(3):
         mats = [random_spd(rng) for _ in range(3)]
+        triples.append((mats, [vf.ellipsoid_approx(A, 3, rotation=random_rotation(rng)) for A in mats]))
+    # axis-aligned approximations share their normal-fan symmetry: the overlay
+    # rejects them, so "auto" falls back to hulls
+    mats = [np.diag(d) for d in ([1.4, 1.0, 0.7], [0.8, 1.5, 1.1], [1.2, 0.9, 1.3])]
+    aligned = [vf.ellipsoid_approx(A, 2) for A in mats]
+    with pytest.raises(OverlayDegenerateError):
+        vf.polytope_mixed_volume(aligned, engine="overlay")
+    triples.append((mats, aligned))
+    for mats, polys in triples:
         vq = vf.mixed_volume_quadrature([vf.make_ellipsoid(A) for A in mats], grid20)
-        polys = [vf.ellipsoid_approx(A, 3, rotation=random_rotation(rng)) for A in mats]
         vp = vf.polytope_mixed_volume(polys)
         assert vp == pytest.approx(vq, rel=1e-3)
+
+
+def box(sides):
+    return vf.make_polytope(list(itertools.product(*[(0.0, s) for s in sides])))
+
+
+def permanent(s):
+    n = len(s)
+    return sum(math.prod(s[i][p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_polytope_mixed_volume_boxes(n):
+    # V(box_1, ..., box_n) = perm(s) / n! for side lengths s[i][j] (body i, axis j)
+    s = np.random.default_rng(10 + n).uniform(0.5, 2.0, size=(n, n))
+    value = vf.polytope_mixed_volume([box(row) for row in s], engine="hull")
+    assert value == pytest.approx(permanent(s) / math.factorial(n), rel=1e-12)
+
+
+def random_polytope(rng):
+    """10-14 points in convex position: a random linear image of sphere points."""
+    points = rng.normal(size=(int(rng.integers(10, 15)), 3))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    return vf.make_polytope(points @ rng.normal(size=(3, 3)) + rng.normal(size=3))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_polytope_mixed_volume_properties(seed):
+    rng = np.random.default_rng(seed)
+    P, Q, R, S = (random_polytope(rng) for _ in range(4))
+    value = vf.polytope_mixed_volume([P, Q, R], engine="hull")
+    for order in itertools.permutations([P, Q, R]):
+        assert vf.polytope_mixed_volume(order) == pytest.approx(value, rel=1e-9)
+    PS = vf.make_polytope((P.vertices[:, None, :] + S.vertices[None, :, :]).reshape(-1, 3))
+    assert vf.polytope_mixed_volume([PS, Q, R]) == pytest.approx(
+        value + vf.polytope_mixed_volume([S, Q, R]), rel=1e-9
+    )
+    shifted = [vf.translate(B, rng.normal(size=3)) for B in (P, Q, R)]
+    assert vf.polytope_mixed_volume(shifted) == pytest.approx(value, rel=1e-9)
+    assert vf.polytope_mixed_volume([P, Q, R], engine="overlay") == pytest.approx(value, rel=1e-9)
 
 
 def test_parallel_body_volume_cube():
