@@ -59,8 +59,6 @@ class ConvexityViolation(ValueError):
 class EllipsoidSupport(SphericalFunction):
     """h(x) = sqrt(<x, A x>) for symmetric positive definite A."""
 
-    smoothness = "analytic-closed-form"
-
     def __init__(self, A):
         self.A = np.asarray(A, dtype=float)
 
@@ -80,8 +78,6 @@ class EllipsoidSupport(SphericalFunction):
 
 class PolytopeSupport(SphericalFunction):
     """h(x) = max_v <x, v> over the vertex list; exact but not differentiable."""
-
-    smoothness = "finite-difference"
 
     def __init__(self, vertices):
         self.vertices = np.atleast_2d(np.asarray(vertices, dtype=float))

@@ -171,25 +171,34 @@ def _frame_matrices(family: EllipsoidFamily, nodes: np.ndarray, bases: np.ndarra
     return np.stack(columns, axis=-1)
 
 
-def spanning_certificate(family: EllipsoidFamily, grid: SphereGrid):
-    """Minimum over grid nodes of the smallest singular value of the frame matrix.
+def _frame_svd(family: EllipsoidFamily, grid: SphereGrid):
+    """Tangent bases, frame matrices S (g, D, N) and their thin SVD (u, s, vt).
 
-    Returns (min_sigma, argmin_node).  Raises SpanningFailure when any node
-    value drops to 1e-10 or below, which would contradict the spanning
-    construction and indicates a bug (or the negative-control family).
+    Raises SpanningFailure when any node's smallest singular value drops to
+    1e-10 or below, which would contradict the spanning construction and
+    indicates a bug (or the negative-control family).
     """
     if family.n != grid.n:
         raise ValueError("family and grid dimensions differ")
     bases = tangent_bases(grid.nodes)
     S = _frame_matrices(family, grid.nodes, bases)
-    sigmas = np.linalg.svd(S, compute_uv=False)[:, -1]
-    imin = int(np.argmin(sigmas))
-    min_sigma = float(sigmas[imin])
-    if min_sigma <= 1e-10:
+    u, s, vt = np.linalg.svd(S, full_matrices=False)
+    imin = int(np.argmin(s[:, -1]))
+    if s[imin, -1] <= 1e-10:
         raise SpanningFailure(
-            f"frame matrix smallest singular value {min_sigma:.3e} at node {grid.nodes[imin]}"
+            f"frame matrix smallest singular value {s[imin, -1]:.3e} at node {grid.nodes[imin]}"
         )
-    return min_sigma, grid.nodes[imin]
+    return bases, S, (u, s, vt)
+
+
+def spanning_certificate(family: EllipsoidFamily, grid: SphereGrid):
+    """Minimum over grid nodes of the smallest singular value of the frame matrix.
+
+    Returns (min_sigma, argmin_node); raises SpanningFailure as ``_frame_svd``.
+    """
+    _, _, (_, s, _) = _frame_svd(family, grid)
+    imin = int(np.argmin(s[:, -1]))
+    return float(s[imin, -1]), grid.nodes[imin]
 
 
 @dataclass(frozen=True)
@@ -229,12 +238,13 @@ class SpanningFrame:
 
 
 def dual_frame(family: EllipsoidFamily, grid: SphereGrid) -> SpanningFrame:
-    """Build the pointwise pseudoinverse coefficient frame over the grid."""
-    spanning_certificate(family, grid)
-    bases = tangent_bases(grid.nodes)
-    S = _frame_matrices(family, grid.nodes, bases)
-    solvers = np.linalg.pinv(S)
-    sigmas = np.linalg.svd(S, compute_uv=False)[:, -1]
+    """Build the pointwise pseudoinverse coefficient frame over the grid.
+
+    The solvers are vt^T diag(1/s) u^T from one SVD: numpy's pinv with no
+    singular value cut, since ``_frame_svd`` rejects any sigma <= 1e-10.
+    """
+    bases, S, (u, s, vt) = _frame_svd(family, grid)
+    solvers = np.swapaxes(vt, -1, -2) @ ((1.0 / s)[..., None] * np.swapaxes(u, -1, -2))
     return SpanningFrame(
-        family=family, grid=grid, bases=bases, matrices=S, solvers=solvers, sigmas=sigmas
+        family=family, grid=grid, bases=bases, matrices=S, solvers=solvers, sigmas=s[:, -1]
     )

@@ -14,13 +14,14 @@ obtained by differentiating |y|^{1-l} p(y) twice and evaluating at |x| = 1.
 Restrictions of harmonics of distinct degrees are L2-orthogonal on the sphere,
 so an orthonormal dictionary up to a cutoff degree provides exact expansions
 of band-limited fields.  The dictionary construction is fully deterministic:
-the harmonic coefficient spaces are rational nullspaces of the integer
-Laplacian (the trace of the Hessian map), orthonormalized against the exact
-monomial sphere integrals.
+each degree-l harmonic space is spanned by the closed-form harmonic
+extensions of the monomials q x_n^r with r <= 1 (Axler, Bourdon & Ramey,
+Harmonic Function Theory, ch. 5), computed in exact integers and
+orthonormalized against the exact monomial sphere integrals.
 """
 
 import itertools
-from fractions import Fraction
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -116,33 +117,33 @@ class HomogeneousPolynomial:
         return _monomial_tables(X, [self.degree])[self.degree] @ self.coeffs
 
 
-def _rational_nullspace(M: np.ndarray) -> np.ndarray:
-    """Basis of the nullspace of an integer matrix, via exact RREF over Q."""
-    rows, cols = M.shape
-    A = [[Fraction(int(M[r, c])) for c in range(cols)] for r in range(rows)]
-    pivots = []
-    row = 0
-    for col in range(cols):
-        piv = next((r for r in range(row, rows) if A[r][col] != 0), None)
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        pv = A[row][col]
-        A[row] = [a / pv for a in A[row]]
-        for r in range(rows):
-            if r != row and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[row])]
-        pivots.append(col)
-        row += 1
-        if row == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols))
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1.0
-        for prow, pcol in enumerate(pivots):
-            basis[k, pcol] = float(-A[prow][fc])
+def _harmonic_basis(n: int, degree: int) -> np.ndarray:
+    """Harmonic coefficient rows, one per monomial q x_n^r with r <= 1, in the canonical order.
+
+    Row q x_n^r is the harmonic extension sum_j (-1)^j x_n^{2j+r} Delta'^j q / (2j+r)!
+    (the factor r! is 1), with Delta' the Laplacian in the first n-1
+    variables; the sum telescopes under Delta.  It is the identity on the
+    columns with last exponent <= 1, so it is the reduced-row-echelon
+    nullspace basis of the Laplacian.  The Delta'^j q coefficients are exact
+    integers and each entry is one correctly rounded int / int division.
+    """
+    exps = _monomial_exponents(n, degree).tolist()
+    index = _monomial_index(n, degree)
+    free = [e for e in exps if e[-1] <= 1]
+    basis = np.zeros((len(free), len(exps)))
+    for k, e in enumerate(free):
+        r = e[-1]
+        poly = {tuple(e[:-1]): 1}
+        for j in range((degree - r) // 2 + 1):
+            for a, c in poly.items():
+                basis[k, index[a + (2 * j + r,)]] = (-1) ** j * c / math.factorial(2 * j + r)
+            lap = {}
+            for a, c in poly.items():
+                for i, ai in enumerate(a):
+                    if ai >= 2:
+                        b = a[:i] + (ai - 2,) + a[i + 1 :]
+                        lap[b] = lap.get(b, 0) + c * ai * (ai - 1)
+            poly = lap
     return basis
 
 
@@ -154,17 +155,9 @@ def _harmonic_coefficients(n: int, degree: int):
     on the sphere with respect to the (unnormalized) surface measure.
     """
     exps = _monomial_exponents(n, degree)
-    if degree < 2:
-        raw = np.eye(len(exps))
-    else:
-        raw = _rational_nullspace(np.einsum("iiab->ab", _derivative_maps(n, degree)[1]))
-
-    pair_integrals = np.empty((len(exps), len(exps)))
-    for s in range(len(exps)):
-        for t in range(s, len(exps)):
-            val = monomial_sphere_integral(exps[s] + exps[t])
-            pair_integrals[s, t] = val
-            pair_integrals[t, s] = val
+    raw = _harmonic_basis(n, degree)
+    sums, inverse = np.unique((exps[:, None, :] + exps[None, :, :]).reshape(-1, n), axis=0, return_inverse=True)
+    pair_integrals = np.array([monomial_sphere_integral(a) for a in sums])[inverse].reshape(len(exps), len(exps))
     gram = raw @ pair_integrals @ raw.T
     L = np.linalg.cholesky(gram)
     ortho = solve_triangular(L, raw, lower=True)
@@ -178,8 +171,6 @@ class HarmonicCombination(SphericalFunction):
     instance was assembled from the orthonormal dictionary, enabling exact
     serialization and parity filtering.
     """
-
-    smoothness = "spectral"
 
     def __init__(self, pieces, dict_coeffs=None):
         # pieces: list of (degree, HomogeneousPolynomial)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 from scipy.special import comb
 
-from .bodies import ConvexBody, NotSmoothError, hull_edges
+from .bodies import ConvexBody, NotSmoothError, hull_edges, mean_support_integral
 from .sphere import (
     SphereGrid,
     ball_volume,
@@ -345,37 +345,31 @@ def polytope_mixed_volume(bodies, engine: str = "auto") -> float:
 # -- Steiner coefficients -----------------------------------------------------
 
 
-def parallel_body_volume(P: ConvexBody, t: float) -> float:
-    """Exact volume of P + t*B for a full-dimensional polytope P (n <= 3).
+def _parallel_body_coefficients(P: ConvexBody) -> list:
+    """Coefficients of t^0..t^n in vol(P + t*B) for a full-dimensional polytope P (n <= 3).
 
     Decomposes the parallel body into the polytope, facet prisms, edge wedges,
-    and vertex sphere sectors; in R^3
-    vol = V + A t + (sum_e len_e * theta_e / 2) t^2 + (4 pi / 3) t^3
-    with theta_e the exterior dihedral angle along edge e.
+    and vertex sphere sectors: [area, perimeter, pi] in R^2 and
+    [V, A, sum_e len_e * theta_e / 2, 4 pi / 3] in R^3, with theta_e the
+    exterior dihedral angle along edge e.
     """
     if P.vertices is None:
         raise ValueError("parallel body volume needs a vertex-backed polytope")
     if P.lower_dimensional:
         raise ValueError("parallel body volume needs a full-dimensional polytope")
-    n = P.n
-    V = np.asarray(P.vertices, dtype=float)
-    if n == 2:
-        hull = ConvexHull(V)
-        area = float(hull.volume)
-        perimeter = float(hull.area)
-        return area + perimeter * t + math.pi * t * t
-    if n != 3:
+    if P.n not in (2, 3):
         raise NotImplementedError("parallel body volumes are implemented for n in {2, 3}")
-    from .bodies import mean_support_integral
-
+    V = np.asarray(P.vertices, dtype=float)
     hull = ConvexHull(V)
+    if P.n == 2:
+        return [float(hull.volume), float(hull.area), math.pi]
     # edge wedges carry sum_e len_e * theta_e / 2, the support integral of P
-    return (
-        float(hull.volume)
-        + float(hull.area) * t
-        + mean_support_integral(V) * t * t
-        + ball_volume(3) * t ** 3
-    )
+    return [float(hull.volume), float(hull.area), mean_support_integral(V), ball_volume(3)]
+
+
+def parallel_body_volume(P: ConvexBody, t: float) -> float:
+    """Exact volume of P + t*B for a full-dimensional polytope P (n <= 3)."""
+    return sum(c * t**j for j, c in enumerate(_parallel_body_coefficients(P)))
 
 
 def _steiner_smooth(K: ConvexBody, grid: SphereGrid) -> list:
@@ -402,26 +396,14 @@ def _steiner_smooth(K: ConvexBody, grid: SphereGrid) -> list:
     return coeffs
 
 
-def _steiner_polytope(P: ConvexBody) -> list:
-    n = P.n
-    ts = np.linspace(0.0, 1.0, n + 3)
-    vols = np.array([parallel_body_volume(P, t) for t in ts])
-    design = np.vander(ts, n + 1, increasing=True)
-    coeffs, *_ = np.linalg.lstsq(design, vols, rcond=None)
-    residual = float(np.max(np.abs(design @ coeffs - vols)))
-    if residual > 1e-6:
-        warnings.warn(f"Steiner polynomial fit residual {residual:.3e} exceeds 1e-6", stacklevel=3)
-    return [float(c) for c in coeffs]
-
-
 def steiner_coefficients(K: ConvexBody, grid: SphereGrid) -> list:
     """Coefficients of t^0..t^n in vol(K + t B).
 
     Smooth bodies go through the quadrature mixed-volume assembly; polytopes
-    through exact parallel-body volumes on a t-grid plus a polynomial fit.
+    through the exact parallel-body decomposition.
     """
     if K.smooth:
         return _steiner_smooth(K, grid)
     if K.vertices is not None:
-        return _steiner_polytope(K)
+        return _parallel_body_coefficients(K)
     raise ValueError("Steiner coefficients need a smooth body or a polytope")

@@ -147,11 +147,8 @@ class SphericalFunction:
 
     Subclasses override ``values`` and, when a closed form exists, ``hessians``;
     the base class falls back to central finite differences with one Richardson
-    extrapolation level.  ``smoothness`` tags the evaluation route as one of
-    ``analytic-closed-form``, ``spectral``, or ``finite-difference``.
+    extrapolation level.
     """
-
-    smoothness = "finite-difference"
 
     def values(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -170,8 +167,6 @@ class SphericalFunction:
 class ConstantFunction(SphericalFunction):
     """f == c; support function of the centered ball of radius c."""
 
-    smoothness = "analytic-closed-form"
-
     def __init__(self, c: float):
         self.c = float(c)
 
@@ -188,8 +183,6 @@ class ConstantFunction(SphericalFunction):
 class LinearFunction(SphericalFunction):
     """f(x) = <x, v>; support function of the point {v}.  Zero Hessian."""
 
-    smoothness = "analytic-closed-form"
-
     def __init__(self, v):
         self.v = np.asarray(v, dtype=float)
 
@@ -202,16 +195,11 @@ class LinearFunction(SphericalFunction):
         return np.zeros((m, n, n))
 
 
-_SMOOTHNESS_ORDER = {"analytic-closed-form": 0, "spectral": 1, "finite-difference": 2}
-
-
 class SumFunction(SphericalFunction):
     """Weighted sum of spherical functions; values and Hessians add."""
 
     def __init__(self, parts):
         self.parts = [(float(w), f) for w, f in parts]
-        worst = max((_SMOOTHNESS_ORDER[f.smoothness] for _, f in self.parts), default=0)
-        self.smoothness = [k for k, v in _SMOOTHNESS_ORDER.items() if v == worst][0]
 
     def values(self, X):
         X = np.atleast_2d(X)
@@ -231,8 +219,6 @@ class SumFunction(SphericalFunction):
 
 class CallableSpherical(SphericalFunction):
     """Wrap a vectorized evaluator; Hessians come from the finite-difference path."""
-
-    smoothness = "finite-difference"
 
     def __init__(self, fn):
         self.fn = fn

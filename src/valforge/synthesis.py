@@ -14,7 +14,6 @@ into differences of mixed volumes with certified convex bodies.
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,35 +261,23 @@ def _family_multiset(comb: FiniteCombination, alpha):
     return bodies
 
 
-def evaluate_combination(
-    comb: FiniteCombination, K: ConvexBody, grid: SphereGrid, route_rtol: float = 1e-6
-) -> float:
+def evaluate_combination(comb: FiniteCombination, K: ConvexBody, grid: SphereGrid) -> float:
     """Evaluate the finite combination on a smooth body.
 
-    Computes both the mixed-volume route sum_alpha V(K[k], L+, E[alpha]) -
-    V(K[k], L-, E[alpha]) and the density route sum_alpha (1/n) integral
-    g~_alpha dS(K[k], E[alpha]); disagreement beyond ``route_rtol`` relative is
-    reported as a diagnostic.  Returns the mixed-volume route value.
+    Returns the mixed-volume representation sum_alpha V(K[k], L+, E[alpha]) -
+    V(K[k], L-, E[alpha]), with one mixed area density per alpha-term shared
+    by its two mixed volumes.
     """
     if not K.smooth:
         raise ValueError("finite combinations evaluate on smooth bodies (quadrature route)")
-    body_route = 0.0
-    density_route = 0.0
+    total = 0.0
     for term in comb.terms:
         others = _family_multiset(comb, term.alpha)
         density = mixed_area_density(K, comb.k, others, grid)
         v_plus = mixed_volume_smooth(term.l_plus, K, comb.k, others, grid, density=density)
         v_minus = mixed_volume_smooth(term.l_minus, K, comb.k, others, grid, density=density)
-        body_route += v_plus - v_minus
-        density_route += grid.integrate(term.g.values(grid.nodes) * density.values) / grid.n
-    spread = abs(body_route - density_route)
-    if spread > route_rtol * max(1.0, abs(body_route), abs(density_route)):
-        warnings.warn(
-            f"mixed-volume and density routes disagree by {spread:.3e} "
-            f"(values {body_route:.6e} / {density_route:.6e})",
-            stacklevel=2,
-        )
-    return body_route
+        total += v_plus - v_minus
+    return total
 
 
 # -- artifact serialization ---------------------------------------------------

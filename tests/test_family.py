@@ -75,6 +75,8 @@ def test_all_balls_family_fails(grid20):
     fam = vf.build_family(3, all_balls=True)
     with pytest.raises(vf.SpanningFailure):
         vf.spanning_certificate(fam, grid20)
+    with pytest.raises(vf.SpanningFailure):
+        vf.dual_frame(fam, grid20)
 
 
 def test_sym_vec_isometry():
@@ -90,6 +92,7 @@ def test_sym_vec_isometry():
 
 
 def test_dual_frame_reconstruction_on_grid(frame3):
+    assert np.array_equal(frame3.solvers, np.linalg.pinv(frame3.matrices))
     rng = np.random.default_rng(2)
     g = frame3.grid.size
     forms = rng.normal(size=(g, 2, 2))

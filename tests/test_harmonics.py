@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,8 @@ from numpy.testing import assert_allclose
 
 from valforge.harmonics import (
     HomogeneousPolynomial,
+    _derivative_maps,
+    _harmonic_basis,
     _monomial_exponents,
     combine_dictionary,
     harmonic_dictionary,
@@ -180,3 +185,46 @@ def test_shuffled_exponent_rows_evaluate_the_same(n, seed):
         canonical = HomogeneousPolynomial(exps, c)
         assert_allclose(shuffled.coeffs, canonical.coeffs, rtol=0, atol=0)
         assert_allclose(shuffled.values(X), canonical.values(X), rtol=0, atol=0)
+
+
+# sha256 of the raw harmonic rows of degrees 2..8, as first computed by an
+# exact Fraction RREF of the integer Laplacian; artifacts key carriers by
+# (l, j), so any change to these rows silently changes stored artifacts
+RAW_ROW_SHA256 = {
+    3: {
+        2: "252380874ff10a9a5537b259c36ff3909e13669f4ac2f787c7646410dca2939f",
+        3: "0a29788fbe1a472626be251aa341b1b30b020352e9e6d78cc6d0cf13d0fb39ae",
+        4: "2a1d3c409b961f5176c4f1fe6120e0d631e0386180ffc89e642aeff7cc78c223",
+        5: "f3af2b04ff2d20682ef63d3cff3151c536c007b537eb3e54f3b5b82c572d63c2",
+        6: "5940ee62a69b7b227a8829e5ebb06940065b27fd0b0b7fd1a01b5aaa765ca3ec",
+        7: "4abbedb710f667c25c29a6e475f7067454a1473f3e59bab11a40e85de99525af",
+        8: "890ad4cd4bbfcba82798c198fa9db508c06ef9b71e068b3e3173867ef7f8d3b5",
+    },
+    4: {
+        2: "50c92269d023d60d3419a7fbc067ba70c4e7eb8b6d878f92fc90a26d1cc99130",
+        3: "34f9ce5bd52f89e6907ce1d80461eb33224a87a2841b3bf7583564502f4d7423",
+        4: "f1eaf9c184e84949a5822e53b0e13bcaeb28af0c31ebf1776141c8a6eb82e7f0",
+        5: "e2c788d64c9b2f63c83300bd3723f0d7e9ab604ce71af6912b3398f73a0b12d7",
+        6: "212eb34f901eb8c4bdee2736fc8e1d84e2de20853c91b5e7a2116494ddc1a543",
+        7: "9578d3c2a4354f48d4958b71808e56b5686644862a6b0401a6de125dc1c83b47",
+        8: "083dbb8419dcf3da41ffc1933dc2bfd82a2facd32b7ca5399c678ec62215bb24",
+    },
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_harmonic_basis_rows_pinned(n):
+    for l in range(2, 9):
+        assert hashlib.sha256(_harmonic_basis(n, l).tobytes()).hexdigest() == RAW_ROW_SHA256[n][l], l
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_harmonic_basis_is_reduced_nullspace_of_laplacian(n):
+    for l in DEGREES:
+        rows = _harmonic_basis(n, l)
+        exps = _monomial_exponents(n, l)
+        free = exps[:, -1] <= 1
+        assert rows.shape[0] == math.comb(n + l - 1, n - 1) - math.comb(n + l - 3, n - 1), l
+        assert np.array_equal(rows[:, free], np.eye(rows.shape[0])), l
+        lap = np.einsum("iiab->ab", _derivative_maps(n, l)[1])
+        assert np.all(np.abs(lap @ rows.T) <= 1e-12 * (np.abs(lap) @ np.abs(rows.T))), l

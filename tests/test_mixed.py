@@ -253,7 +253,7 @@ def test_parallel_body_volume_cube():
 
 def test_steiner_cube():
     coeffs = vf.steiner_coefficients(unit_cube(), None)
-    assert_allclose(coeffs, [1.0, 6.0, 3 * np.pi, 4 * np.pi / 3], atol=1e-9)
+    assert_allclose(coeffs, [1.0, 6.0, 3 * np.pi, 4 * np.pi / 3], rtol=1e-14)
 
 
 def test_steiner_ball(grid20):

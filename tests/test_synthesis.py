@@ -181,7 +181,7 @@ def test_round_trip_k1(separable_valuation_k1, combination_k1, grid20):
     v, _ = separable_valuation_k1
     rng = np.random.default_rng(4)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # any route-disagreement diagnostic is a failure
+        warnings.simplefilter("error")  # any numerical warning during evaluation is a failure
         for _ in range(5):
             K = random_perturbed_ball(rng, grid20)
             a = vf.evaluate_kernel_valuation(v, K, grid20)
