@@ -322,6 +322,29 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK if worst <= tol else EXIT_MATH
 
 
+def _verify_body(idx, data, grid):
+    """(id, body) of one --bodies entry; a description that builds no smooth body is an InputError.
+
+    A perturbed ball that fails its convexity certificate stays a
+    ConvexityViolation (a mathematical-check failure).
+    """
+    if not isinstance(data, dict):
+        raise InputError(f"body body-{idx}: expected a JSON object, got {data!r}")
+    data = dict(data)
+    name = data.pop("id", f"body-{idx}")
+    try:
+        K = body_from_dict(data, grid=grid)
+    except ConvexityViolation:
+        raise
+    except KeyError as err:
+        raise InputError(f"body {name}: missing field {err}") from err
+    except (TypeError, ValueError) as err:
+        raise InputError(f"body {name}: {err}") from err
+    if not K.smooth:
+        raise InputError(f"body {name}: verify evaluates smooth bodies only, got a {K.kind}")
+    return name, K
+
+
 def cmd_verify(args) -> int:
     config = _load_config(args)
     try:
@@ -336,12 +359,11 @@ def cmd_verify(args) -> int:
         raise InputError("artifact stores no kernel; cannot verify the round trip")
     if isinstance(body_list, dict):
         body_list = [dict(data, **{"id": name}) for name, data in body_list.items()]
+    bodies = [_verify_body(idx, data, grid) for idx, data in enumerate(body_list)]
     rows = []
     worst = 0.0
     tol = config.get("tol", 1e-2)
-    for idx, data in enumerate(body_list):
-        name = data.pop("id", f"body-{idx}")
-        K = body_from_dict(data, grid=grid)
+    for name, K in bodies:
         kernel_value = evaluate_kernel_valuation(valuation, K, grid)
         comb_value = evaluate_combination(comb, K, grid)
         rel = abs(kernel_value - comb_value) / max(abs(kernel_value), 1e-12)

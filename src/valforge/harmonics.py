@@ -4,6 +4,9 @@ A polynomial stores its coefficients in the canonical (sorted) degree-l
 monomial order and evaluates as M_l c with the monomial table
 M_l[g, t] = x_g^{e_t}, gathered from one power table P[g, i, d] = x_{g,i}^d
 that is filled by repeated multiplication and shared by every degree of a
+call.  On a grid's own ``nodes`` array each M_l is built once and kept,
+read-only, in the grid's store (``sphere._grid_tables``) for as long as the
+grid lives; every other array gets fresh tables from one power table per
 call.  Exact integer maps on coefficient vectors give grad p and Hess p from
 the tables of degrees l-1 and l-2.  A degree-l harmonic polynomial p
 restricted to the sphere has the closed-form extension Hessian
@@ -27,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .sphere import SphericalFunction, monomial_sphere_integral
+from .sphere import SphericalFunction, _grid_tables, monomial_sphere_integral
 
 __all__ = [
     "HomogeneousPolynomial",
@@ -67,21 +70,27 @@ def _monomial_tables(X: np.ndarray, degrees) -> dict:
     """{l: M_l} with M_l[g, t] = x_g^{e_t} over the canonical degree-l monomials.
 
     One power table P[g, i, d] = x_{g,i}^d, filled by repeated multiplication,
-    serves every degree; each M_l is the product of n gathers from it.
-    Negative degrees give empty (G, 0) tables.
+    serves every degree missing from the store; each M_l is the product of n
+    gathers from it.  On a grid's own nodes the tables are stored read-only
+    and reused.  Negative degrees give empty (G, 0) tables.
     """
     n = X.shape[1]
-    P = np.ones(X.shape + (max(degrees, default=0) + 1,))
-    for d in range(1, P.shape[2]):
-        P[:, :, d] = P[:, :, d - 1] * X
-    tables = {}
-    for l in degrees:
-        exps = _monomial_exponents(n, l)
-        M = P[:, 0, exps[:, 0]]
-        for i in range(1, n):
-            M = M * P[:, i, exps[:, i]]
-        tables[l] = M
-    return tables
+    store = _grid_tables(X)
+    tables = {} if store is None else store.setdefault("monomials", {})
+    missing = [l for l in set(degrees) if l not in tables]
+    if missing:
+        P = np.ones(X.shape + (max(max(missing), 0) + 1,))
+        for d in range(1, P.shape[2]):
+            P[:, :, d] = P[:, :, d - 1] * X
+        for l in missing:
+            exps = _monomial_exponents(n, l)
+            M = P[:, 0, exps[:, 0]]
+            for i in range(1, n):
+                M = M * P[:, i, exps[:, i]]
+            if store is not None:
+                M.setflags(write=False)
+            tables[l] = M
+    return {l: tables[l] for l in degrees}
 
 
 @lru_cache(maxsize=None)
@@ -156,8 +165,11 @@ def _harmonic_coefficients(n: int, degree: int):
     """
     exps = _monomial_exponents(n, degree)
     raw = _harmonic_basis(n, degree)
-    sums, inverse = np.unique((exps[:, None, :] + exps[None, :, :]).reshape(-1, n), axis=0, return_inverse=True)
-    pair_integrals = np.array([monomial_sphere_integral(a) for a in sums])[inverse].reshape(len(exps), len(exps))
+    # every summed exponent has total degree 2l, so a mixed-radix key in base
+    # 2l + 1 tells them apart without sorting exponent rows
+    sums = (exps[:, None, :] + exps[None, :, :]).reshape(-1, n)
+    _, first, inverse = np.unique(sums @ (2 * degree + 1) ** np.arange(n), return_index=True, return_inverse=True)
+    pair_integrals = np.array([monomial_sphere_integral(a) for a in sums[first]])[inverse].reshape(len(exps), len(exps))
     gram = raw @ pair_integrals @ raw.T
     L = np.linalg.cholesky(gram)
     ortho = solve_triangular(L, raw, lower=True)
@@ -194,17 +206,25 @@ class HarmonicCombination(SphericalFunction):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         m, n = X.shape
         tables = _monomial_tables(X, {p.degree - d for _, p in self.pieces for d in range(3)})
-        out = np.zeros((m, n, n))
-        eye = np.eye(n)
+        # per piece only the scalar, gradient and Hessian parts; the (m, n, n)
+        # extension terms are applied once to their (1 - l)-weighted sums
+        hess = np.zeros((m, n * n))
+        scalar = np.zeros(m)
+        radial = np.zeros(m)
+        grad = np.zeros((m, n))
         for l, p in self.pieces:
             d1, d2 = _derivative_maps(n, p.degree)
-            vals = tables[p.degree] @ p.coeffs
-            grad = tables[p.degree - 1] @ (d1 @ p.coeffs).T
-            out += (tables[p.degree - 2] @ (d2 @ p.coeffs).reshape(n * n, -1).T).reshape(m, n, n)
             c = 1.0 - l
-            out += c * vals[:, None, None] * (eye[None, :, :] - (l + 1.0) * X[:, :, None] * X[:, None, :])
-            cross = X[:, :, None] * grad[:, None, :]
-            out += c * (cross + np.swapaxes(cross, 1, 2))
+            vals = tables[p.degree] @ p.coeffs
+            scalar += c * vals
+            radial += c * (l + 1.0) * vals
+            grad += c * (tables[p.degree - 1] @ (d1 @ p.coeffs).T)
+            hess += tables[p.degree - 2] @ (d2 @ p.coeffs).reshape(n * n, -1).T
+        out = hess.reshape(m, n, n)
+        out -= radial[:, None, None] * X[:, :, None] * X[:, None, :]
+        cross = X[:, :, None] * grad[:, None, :]
+        out += cross + np.swapaxes(cross, 1, 2)
+        out += scalar[:, None, None] * np.eye(n)
         return out
 
     def spherical_gradients(self, X):

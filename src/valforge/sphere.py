@@ -6,11 +6,21 @@ the sphere, D^2 f denotes the Hessian of its 1-homogeneous extension
 F(y) = |y| f(y/|y|), evaluated at a unit vector.  It annihilates the radial
 direction and restricts to a symmetric bilinear form on the tangent space;
 in terms of the intrinsic spherical Hessian it equals grad^2 f + f * Id.
+
+Per-grid tables: ``build_grid`` returns read-only ``nodes`` and ``weights``
+and gives the grid a store of derived arrays (``_grid_tables``) that lives
+exactly as long as its ``nodes`` array.  ``tangent_bases`` and the harmonic
+monomial tables read and fill that store, read-only, when they are passed
+that very node array; any other array (a copy, a slice, a broadcast view)
+is computed afresh on every call.  Grids held in module-level caches
+(``kernels._norm_grid_cache``, ``bodies._ellipsoid_mw_grid``) therefore keep
+their tables for the life of the process.
 """
 
 import itertools
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +90,16 @@ class SphereGrid:
         return float(np.dot(self.weights, values))
 
 
+# id(grid.nodes) -> {name: read-only array}; an entry is dropped when its
+# nodes array is freed, so a live id always names the grid's own array
+_GRID_TABLES: dict = {}
+
+
+def _grid_tables(X) -> dict | None:
+    """The derived-array store of the grid whose ``nodes`` is X, or None for any other array."""
+    return _GRID_TABLES.get(id(X))
+
+
 def build_grid(n: int, degree: int) -> SphereGrid:
     """Product quadrature grid on S^{n-1} exact up to polynomial ``degree``.
 
@@ -115,6 +135,10 @@ def build_grid(n: int, degree: int) -> SphereGrid:
 
     norms = np.linalg.norm(nodes, axis=1)
     nodes = nodes / norms[:, None]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    _GRID_TABLES[id(nodes)] = {}
+    weakref.finalize(nodes, _GRID_TABLES.pop, id(nodes), None)
     return SphereGrid(n=n, nodes=nodes, weights=weights, degree=degree)
 
 
@@ -124,7 +148,19 @@ def tangent_bases(X: np.ndarray) -> np.ndarray:
     Returns an (m, n, n-1) array whose columns at row g are the first n-1
     columns of the Householder reflection mapping the last coordinate axis
     to X[g].  At the axis itself the reflection degenerates to the identity.
+    On a grid's own nodes the bases are computed once and returned read-only.
     """
+    store = _grid_tables(X)
+    if store is None:
+        return _householder_bases(X)
+    if "tangent_bases" not in store:
+        B = _householder_bases(X)
+        B.setflags(write=False)
+        store["tangent_bases"] = B
+    return store["tangent_bases"]
+
+
+def _householder_bases(X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m, n = X.shape
     V = X.copy()
@@ -293,8 +329,7 @@ def restricted_hessian(f: SphericalFunction, x, basis: np.ndarray | None = None)
 
 def restricted_hessian_stack(f: SphericalFunction, nodes: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """Tangent-restricted Hessians of f at all nodes, shape (m, n-1, n-1)."""
-    H = f.hessians(nodes)
-    return np.einsum("gia,gij,gjb->gab", bases, H, bases)
+    return np.swapaxes(bases, 1, 2) @ f.hessians(nodes) @ bases
 
 
 def _as_matrices(forms):
@@ -332,6 +367,9 @@ def mixed_discriminant_stack(stacks) -> np.ndarray:
     """Vectorized mixed discriminant of m stacks of symmetric matrices.
 
     Each entry of ``stacks`` has shape (g, m, m); the result has shape (g,).
+    Closed forms for m = 1 (the entry) and m = 2, where the polarization is
+    D(A, B) = (a11 b22 + a22 b11 - a12 b21 - a21 b12) / 2; the subset sum
+    for m >= 3.
     """
     stacks = [np.asarray(s, dtype=float) for s in stacks]
     m = len(stacks)
@@ -339,6 +377,13 @@ def mixed_discriminant_stack(stacks) -> np.ndarray:
     for s in stacks:
         if s.shape != (g, m, m):
             raise ValueError("stacks must share shape (g, m, m) with m = len(stacks)")
+    if m == 1:
+        return stacks[0][:, 0, 0].copy()
+    if m == 2:
+        A, B = stacks
+        return 0.5 * (
+            A[:, 0, 0] * B[:, 1, 1] + A[:, 1, 1] * B[:, 0, 0] - A[:, 0, 1] * B[:, 1, 0] - A[:, 1, 0] * B[:, 0, 1]
+        )
     total = np.zeros(g)
     for r in range(1, m + 1):
         sign = (-1.0) ** (m - r)

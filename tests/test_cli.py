@@ -300,3 +300,52 @@ def test_commands_deterministic(tmp_path, capsys):
             (out / "spanning_check.json").read_text() + (out / "divergence.csv").read_text()
         )
     assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def k2_artifact(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("k2")
+    config = synth_config(tmp, k=2)
+    config["test_bodies"]["count"] = 1
+    cfg = tmp / "synth.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["synthesize", "--config", str(cfg)]) == 0
+    return tmp / "run" / "artifact.json"
+
+
+@pytest.mark.parametrize(
+    "body, code, message",
+    [
+        ({"kind": "cube"}, 2, "input error: body bad: unknown body kind 'cube'"),
+        ({"kind": "ball", "radius": -1}, 2, "input error: body bad: ball radius must be positive"),
+        (
+            {"kind": "polytope", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+            2,
+            "input error: body bad: verify evaluates smooth bodies only, got a polytope",
+        ),
+        # a failed convexity certificate is a mathematical-check failure, not bad input
+        ({"kind": "perturbed_ball", "radius": 1.0, "coeffs": {"2,0": 2.0}}, 1, "mathematical check failed"),
+    ],
+    ids=["unknown-kind", "negative-radius", "polytope", "non-convex"],
+)
+def test_verify_bad_body(tmp_path, capsys, k2_artifact, body, code, message):
+    bodies = tmp_path / "bodies.json"
+    bodies.write_text(json.dumps([{"id": "ball", "kind": "ball", "radius": 1.0}, dict(body, id="bad")]))
+    out = tmp_path / "verify"
+    got, _, err = run(capsys, "verify", "--artifact", str(k2_artifact), "--bodies", str(bodies), "--out", str(out))
+    assert got == code
+    assert message in err
+    assert not (out / "verification.csv").exists()
+
+
+def test_synthesize_twice_in_one_process_is_byte_identical(tmp_path, capsys):
+    artifacts = []
+    for run_dir in ("a", "b"):
+        config = synth_config(tmp_path / run_dir)
+        config["test_bodies"]["count"] = 1
+        cfg = tmp_path / f"{run_dir}.json"
+        cfg.write_text(json.dumps(config))
+        code, _, _ = run(capsys, "synthesize", "--config", str(cfg))
+        assert code == 0
+        artifacts.append((tmp_path / run_dir / "run" / "artifact.json").read_bytes())
+    assert artifacts[0] == artifacts[1]

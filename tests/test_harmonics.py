@@ -12,12 +12,13 @@ from valforge.harmonics import (
     _derivative_maps,
     _harmonic_basis,
     _monomial_exponents,
+    _monomial_tables,
     combine_dictionary,
     harmonic_dictionary,
     parity_filter_coeffs,
     project_to_dictionary,
 )
-from valforge.sphere import build_grid, fd_hessians, restricted_hessian_stack, tangent_bases
+from valforge.sphere import _grid_tables, build_grid, fd_hessians, restricted_hessian_stack, tangent_bases
 from conftest import random_unit
 
 DEGREES = range(9)
@@ -228,3 +229,21 @@ def test_harmonic_basis_is_reduced_nullspace_of_laplacian(n):
         assert np.array_equal(rows[:, free], np.eye(rows.shape[0])), l
         lap = np.einsum("iiab->ab", _derivative_maps(n, l)[1])
         assert np.all(np.abs(lap @ rows.T) <= 1e-12 * (np.abs(lap) @ np.abs(rows.T))), l
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_grid_tables_give_the_same_bits_as_a_copy(n):
+    rng = np.random.default_rng(n)
+    f = combine_dictionary(n, {label: rng.normal() for label in [(0, 0), (1, 1), (2, 3), (4, 2), (6, 5)]})
+    grid = build_grid(n, 8)
+    copy = grid.nodes.copy()
+    for _ in ("cold", "warm"):
+        assert np.array_equal(f.values(grid.nodes), f.values(copy))
+        assert np.array_equal(f.hessians(grid.nodes), f.hessians(copy))
+        assert np.array_equal(f.spherical_gradients(grid.nodes), f.spherical_gradients(copy))
+    stored = _grid_tables(grid.nodes)["monomials"]
+    assert set(stored) == set(range(-2, 7))
+    assert _monomial_tables(grid.nodes, [6])[6] is stored[6]
+    with pytest.raises(ValueError):
+        stored[6][0, 0] = 0.0
+    assert _monomial_tables(copy, [6])[6].flags.writeable

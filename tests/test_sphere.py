@@ -1,18 +1,24 @@
+import gc
 import itertools
+import math
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import valforge as vf
+from valforge import sphere
 from valforge.sphere import (
     ConstantFunction,
     fd_hessians,
     mixed_discriminant_stack,
     monomial_sphere_integral,
+    restricted_hessian_stack,
     sphere_area,
     tangent_bases,
 )
+from conftest import random_spd
 
 
 def test_grid_weight_sums():
@@ -166,3 +172,78 @@ def test_symform_basis_mismatch_rejected():
     with pytest.raises(ValueError):
         vf.mixed_discriminant([s1, s2])
     assert_allclose(vf.mixed_discriminant([s1, s1]), 1.0, atol=1e-12)
+
+
+def _det_polarization(mats):
+    """(1/m!) sum over nonempty subsets S of (-1)^(m-|S|) det(sum_{i in S} A_i), per node."""
+    m = len(mats)
+    total = 0.0
+    for r in range(1, m + 1):
+        for subset in itertools.combinations(mats, r):
+            total = total + (-1.0) ** (m - r) * np.linalg.det(sum(subset))
+    return total / math.factorial(m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_mixed_discriminant_stack_matches_det_polarization(m):
+    rng = np.random.default_rng(10 + m)
+    raw = rng.normal(size=(m, 200, m, m))
+    stacks = list(0.5 * (raw + np.swapaxes(raw, 2, 3)))
+    reference = _det_polarization(stacks)
+    got = mixed_discriminant_stack(stacks)
+    assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
+    # the diagonal case is the determinant itself
+    assert_allclose(mixed_discriminant_stack([stacks[0]] * m), np.linalg.det(stacks[0]), rtol=1e-12, atol=1e-13)
+
+
+def test_restricted_hessian_stack_matches_einsum(grid20):
+    rng = np.random.default_rng(12)
+    bases = tangent_bases(grid20.nodes)
+    for f in (
+        vf.make_ellipsoid(random_spd(rng)).support,
+        vf.make_perturbed_ball(1.0, {(2, 1): 0.05, (3, 4): -0.03, (4, 0): 0.02}, grid20).support,
+    ):
+        reference = np.einsum("gia,gij,gjb->gab", bases, f.hessians(grid20.nodes), bases)
+        got = restricted_hessian_stack(f, grid20.nodes, bases)
+        assert np.max(np.abs(got - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+
+def test_grid_arrays_are_read_only(grid20):
+    for array in (grid20.nodes, grid20.weights, tangent_bases(grid20.nodes)):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_tangent_bases_on_grid_nodes_match_a_copy():
+    grid = vf.build_grid(3, 10)
+    copy = grid.nodes.copy()
+    cold = tangent_bases(grid.nodes)
+    warm = tangent_bases(grid.nodes)
+    assert warm is cold
+    assert np.array_equal(cold, tangent_bases(copy))
+    assert tangent_bases(copy).flags.writeable
+
+
+def test_only_a_grids_own_nodes_use_its_store():
+    grid = vf.build_grid(3, 10)
+    store = sphere._grid_tables(grid.nodes)
+    assert store == {}
+    before = len(sphere._GRID_TABLES)
+    for other in (grid.nodes.copy(), grid.nodes[:50], np.broadcast_to(grid.nodes, grid.nodes.shape)):
+        assert sphere._grid_tables(other) is None
+        tangent_bases(other)
+        vf.combine_dictionary(3, {(2, 1): 1.0}).hessians(other)
+    assert len(sphere._GRID_TABLES) == before
+    assert store == {}
+
+
+def test_grid_store_dies_with_the_grid():
+    grid = vf.build_grid(3, 10)
+    tangent_bases(grid.nodes)
+    key = id(grid.nodes)
+    nodes = weakref.ref(grid.nodes)
+    assert key in sphere._GRID_TABLES
+    del grid
+    gc.collect()
+    assert nodes() is None
+    assert key not in sphere._GRID_TABLES
