@@ -9,6 +9,7 @@ bit-exactly.  Commands are deterministic given (config, seed).
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -26,6 +27,7 @@ from .bodies import (
 )
 from .counterexample import divergence_sweep, make_zonal_bump
 from .family import SpanningFailure, build_family, dual_frame, spanning_certificate
+from .harmonics import harmonic_count
 from .kernels import ReconstructionFailure, decompose_kernel, harmonic_table_kernel, separable_kernel
 from .mixed import (
     mixed_volume_quadrature,
@@ -108,6 +110,23 @@ class InputError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _input_errors(what: str):
+    """Turn a description the block cannot build from into an InputError about ``what``.
+
+    A perturbed ball that fails its convexity certificate stays a
+    ConvexityViolation (a mathematical-check failure).
+    """
+    try:
+        yield
+    except ConvexityViolation:
+        raise
+    except KeyError as err:
+        raise InputError(f"{what}: missing field {err}") from err
+    except (AttributeError, TypeError, ValueError) as err:
+        raise InputError(f"{what}: {err}") from err
+
+
 def _load_config(args) -> dict:
     config = {}
     if args.config is not None:
@@ -173,7 +192,8 @@ def cmd_spanning_check(args) -> int:
 def _bodies_from_config(config, grid):
     bodies = {}
     for name, data in config.get("bodies", {}).items():
-        bodies[name] = body_from_dict(data, grid=grid)
+        with _input_errors(f"body {name}"):
+            bodies[name] = body_from_dict(data, grid=grid)
     return bodies
 
 
@@ -256,15 +276,15 @@ def _kernel_from_config(config, grid, bodies):
             raise InputError(f"unknown kernel body ids {missing}")
         fn = separable_kernel([bodies[b] for b in names])
     else:
-        terms = []
-        for entry in spec.get("terms", []):
-            labels = [tuple(int(v) for v in label.split(",")) for label in entry["labels"]]
-            if len(labels) != factors:
-                raise InputError(f"harmonic-table entries need {factors} labels")
-            terms.append((float(entry["coefficient"]), labels))
-        if not terms:
+        entries = spec.get("terms", [])
+        if not entries:
             raise InputError("harmonic-table kernel needs a nonempty 'terms' list")
-        fn = harmonic_table_kernel(n, terms)
+        with _input_errors("kernel"):
+            fn = harmonic_table_kernel(
+                n, [(float(e["coefficient"]), [label.split(",") for label in e["labels"]]) for e in entries]
+            )
+        if fn.factors != factors:
+            raise InputError(f"harmonic-table entries need {factors} labels")
     decomposition = decompose_kernel(fn, factors, max_degree, n=n, grid=None)
     return KernelValuation(n=n, k=k, decomposition=decomposition, parity=spec.get("parity"))
 
@@ -278,7 +298,7 @@ def _test_bodies(config, grid, rng):
     while len(bodies) < count:
         coeffs = {}
         for l in range(1, max_degree + 1):
-            for j in range(2 * l + 1):
+            for j in range(harmonic_count(grid.n, l)):
                 if rng.random() < 0.4:
                     coeffs[(l, j)] = amplitude * rng.normal() / (1 + l)
         try:
@@ -332,14 +352,8 @@ def _verify_body(idx, data, grid):
         raise InputError(f"body body-{idx}: expected a JSON object, got {data!r}")
     data = dict(data)
     name = data.pop("id", f"body-{idx}")
-    try:
+    with _input_errors(f"body {name}"):
         K = body_from_dict(data, grid=grid)
-    except ConvexityViolation:
-        raise
-    except KeyError as err:
-        raise InputError(f"body {name}: missing field {err}") from err
-    except (TypeError, ValueError) as err:
-        raise InputError(f"body {name}: {err}") from err
     if not K.smooth:
         raise InputError(f"body {name}: verify evaluates smooth bodies only, got a {K.kind}")
     return name, K
@@ -352,9 +366,9 @@ def cmd_verify(args) -> int:
         body_list = json.loads(Path(args.bodies).read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise InputError(f"cannot read inputs: {err}") from err
-    n = int(artifact.get("n", config["n"]))
-    grid = build_grid(n, config["degree"])
-    comb, valuation = combination_from_dict(artifact, grid)
+    with _input_errors("artifact"):
+        grid = build_grid(int(artifact["n"]), config["degree"])
+        comb, valuation = combination_from_dict(artifact, grid)
     if valuation is None:
         raise InputError("artifact stores no kernel; cannot verify the round trip")
     if isinstance(body_list, dict):

@@ -36,8 +36,10 @@ __all__ = [
     "HomogeneousPolynomial",
     "HarmonicCombination",
     "harmonic_dictionary",
+    "dictionary_index",
     "dictionary_size",
     "dictionary_values",
+    "harmonic_count",
     "combine_dictionary",
     "project_to_dictionary",
     "parity_filter_coeffs",
@@ -257,14 +259,34 @@ def harmonic_dictionary(n: int, max_degree: int):
     return tuple(entries)
 
 
+def harmonic_count(n: int, degree: int) -> int:
+    """Dimension of the degree-``degree`` harmonics in n variables: C(l+n-1, n-1) - C(l+n-3, n-1)."""
+    return math.comb(degree + n - 1, n - 1) - (math.comb(degree + n - 3, n - 1) if degree >= 2 else 0)
+
+
 def dictionary_size(n: int, max_degree: int) -> int:
-    return len(harmonic_dictionary(n, max_degree))
+    return sum(harmonic_count(n, l) for l in range(max_degree + 1))
+
+
+def dictionary_index(n: int, max_degree: int, label) -> int:
+    """Position of the label (l, j) in ``harmonic_dictionary(n, max_degree)``.
+
+    Raises ValueError for a label outside that dictionary.
+    """
+    l, j = (int(v) for v in label)
+    if not (0 <= l <= max_degree and 0 <= j < harmonic_count(n, l)):
+        raise ValueError(f"harmonic label {l},{j} is outside the n = {n} dictionary of degree <= {max_degree}")
+    return dictionary_size(n, l - 1) + j
 
 
 def combine_dictionary(n: int, coeffs: dict) -> HarmonicCombination:
-    """Assemble sum_{(l,j)} c_{lj} * phi_{lj} from dictionary coefficients."""
+    """Assemble sum_{(l,j)} c_{lj} * phi_{lj} from dictionary coefficients.
+
+    Raises ValueError for a label outside the dictionary.
+    """
     by_degree = {}
     for (l, j), c in coeffs.items():
+        dictionary_index(n, int(l), (l, j))
         by_degree.setdefault(int(l), {})[int(j)] = float(c)
     pieces = []
     for l, jc in sorted(by_degree.items()):

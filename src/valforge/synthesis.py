@@ -23,6 +23,9 @@ from .family import EllipsoidFamily, SpanningFrame
 from .harmonics import (
     HarmonicCombination,
     combine_dictionary,
+    dictionary_index,
+    dictionary_values,
+    harmonic_dictionary,
     parity_filter_coeffs,
     project_to_dictionary,
 )
@@ -73,70 +76,64 @@ class KernelValuation:
             raise ValueError(f"parity must be None, 'even', or 'odd', got {self.parity!r}")
 
 
+def _kernel_tables(v: KernelValuation, grid: SphereGrid, bases) -> tuple:
+    """``contract_first`` of the label table at the grid nodes, and the restricted
+    Hessian stack of each label of slots 2..n-k, keyed by dictionary index."""
+    decomp = v.decomposition
+    later, first = decomp.contract_first(dictionary_values(grid.nodes, decomp.max_degree))
+    entries = harmonic_dictionary(v.n, decomp.max_degree)
+    labels = {int(d) for u in later for d in u}
+    return later, first, {d: restricted_hessian_stack(entries[d], grid.nodes, bases) for d in labels}
+
+
 def evaluate_kernel_valuation(v: KernelValuation, K: ConvexBody, grid: SphereGrid) -> float:
     """Evaluate the kernel valuation on a smooth body by quadrature.
 
-    Sum over terms of integral f_1^j * D(D^2 h_K taken k times, D^2 f_2^j, ...).
-    For a separable kernel of support functions this equals n times the
-    corresponding mixed volume.
+    Sum over terms of c_j integral phi_{t_j1} * D(D^2 h_K taken k times,
+    D^2 phi_{t_j2}, ...); terms with the same later labels share one mixed
+    discriminant.  For a separable kernel of support functions this equals n
+    times the corresponding mixed volume.
     """
     if not K.smooth:
         raise ValueError("kernel valuations evaluate on smooth bodies only (singular measure otherwise)")
     bases = tangent_bases(grid.nodes)
     k_stack = restricted_hessian_stack(K.support, grid.nodes, bases)
+    later, first, stacks = _kernel_tables(v, grid, bases)
     total = 0.0
-    for term in v.decomposition.terms:
-        f1 = term[0].values(grid.nodes)
-        stacks = [k_stack] * v.k
-        stacks += [restricted_hessian_stack(f, grid.nodes, bases) for f in term[1:]]
-        density = mixed_discriminant_stack(stacks)
-        total += grid.integrate(f1 * density)
+    for index in np.ndindex(first.shape[:-1]):
+        if first[index].any():
+            tail = [stacks[u[i]] for u, i in zip(later, index)]
+            total += grid.integrate(first[index] * mixed_discriminant_stack([k_stack] * v.k + tail))
     return total
-
-
-def _alpha_of(indices, size: int) -> tuple:
-    counts = [0] * size
-    for s in indices:
-        counts[s] += 1
-    return tuple(counts)
 
 
 def accumulate_g_alpha(v: KernelValuation, frame: SpanningFrame) -> dict:
     """Node-sampled g_alpha from the dual-frame coefficients of the kernel terms.
 
-    For each term j and node x the coefficients psi^l = frame(D^2 f_l^j(x))
-    are taken for l = 2..n-k; every index tuple (s_2, ..., s_{n-k}) contributes
-    f_1^j(x) * prod_l psi^l_{s_l}(x) to the multi-index alpha counting
-    ellipsoid multiplicities.  Terms with the same alpha merge.
+    With psi_u = frame(D^2 phi_u), taken once per label u of slots 2..n-k,
+    the label table contracts slot by slot into
+    T[x, s_2, ..., s_{n-k}] = sum_j c_j phi_{t_j1}(x) prod_l psi_{t_jl}(x)_{s_l};
+    each index tuple adds its slice of T to the multi-index alpha counting
+    ellipsoid multiplicities.  With no terms no alpha is reached, so there
+    are no buckets unless n - k = 1.
     """
     grid = frame.grid
-    n, k = v.n, v.k
-    slots = n - k - 1
     N = frame.size
+    slots = v.n - v.k - 1
+    if slots and not len(v.decomposition):
+        return {}
+    later, T, stacks = _kernel_tables(v, grid, frame.bases)
+    psi = {d: frame.coefficients_stack(forms) for d, forms in stacks.items()}  # (G, N) each
+    # T[i_l, ..., i_m, x, s]: s runs over the index tuples of the slots contracted so far
+    T = T[..., None]
+    for labels in later:
+        T = np.einsum("u...gs,ugt->...gst", T, np.stack([psi[d] for d in labels]))
+        T = T.reshape(T.shape[:-2] + (-1,))
+    T = T.reshape((grid.size,) + (N,) * slots)
     buckets: dict = {}
-    if slots == 0:
-        g = np.zeros(grid.size)
-        for term in v.decomposition.terms:
-            g += term[0].values(grid.nodes)
-        buckets[_alpha_of((), N)] = g
-        return buckets
-
-    bases = frame.bases
-    for term in v.decomposition.terms:
-        f1 = term[0].values(grid.nodes)
-        psi = []
-        for f in term[1:]:
-            forms = restricted_hessian_stack(f, grid.nodes, bases)
-            psi.append(frame.coefficients_stack(forms))  # (G, N)
-        for indices in itertools.product(range(N), repeat=slots):
-            weight = f1.copy()
-            for level, s in enumerate(indices):
-                weight *= psi[level][:, s]
-            alpha = _alpha_of(indices, N)
-            if alpha in buckets:
-                buckets[alpha] += weight
-            else:
-                buckets[alpha] = weight
+    for indices in itertools.product(range(N), repeat=slots):
+        alpha = tuple(indices.count(s) for s in range(N))
+        buckets[alpha] = buckets.get(alpha, 0.0) + T[(slice(None),) + indices]
     return buckets
 
 
@@ -322,11 +319,15 @@ def combination_to_dict(comb: FiniteCombination, v: KernelValuation | None = Non
         ],
     }
     if v is not None:
+        entries = harmonic_dictionary(comb.n, v.decomposition.max_degree)
         out["kernel"] = {
             "factors": v.decomposition.factors,
             "max_degree": v.decomposition.max_degree,
             "parity": v.parity,
-            "terms": [[_coeffs_to_json(f.dict_coeffs) for f in term] for term in v.decomposition.terms],
+            "terms": [
+                {"coefficient": float(c), "labels": [f"{entries[d].degree},{entries[d].index}" for d in row]}
+                for row, c in zip(v.decomposition.terms.tolist(), v.decomposition.coefficients)
+            ],
         }
     return out
 
@@ -365,22 +366,15 @@ def combination_from_dict(data: dict, grid: SphereGrid):
     )
     valuation = None
     if "kernel" in data:
-        from .kernels import TensorDecomposition as TD
-
         kdata = data["kernel"]
-        kterms = []
-        coeff_list = []
-        for term in kdata["terms"]:
-            fns = tuple(combine_dictionary(n, _coeffs_from_json(fc)) for fc in term)
-            kterms.append(fns)
-            coeff_list.append(1.0)
-        decomp = TD(
+        max_degree = int(kdata["max_degree"])
+        decomp = TensorDecomposition(
             n=n,
             factors=int(kdata["factors"]),
-            terms=tuple(kterms),
-            coefficients=np.asarray(coeff_list),
+            terms=[[dictionary_index(n, max_degree, label.split(",")) for label in t["labels"]] for t in kdata["terms"]],
+            coefficients=[float(t["coefficient"]) for t in kdata["terms"]],
             residual=0.0,
-            max_degree=int(kdata["max_degree"]),
+            max_degree=max_degree,
         )
         valuation = KernelValuation(n=n, k=k, decomposition=decomp, parity=kdata.get("parity"))
     return comb, valuation

@@ -284,3 +284,30 @@ def test_criterion_9_decomposition_fidelity(grid20):
     assert worst <= 1e-9
     elapsed = time.perf_counter() - start
     _report("9 decomposition-fidelity", elapsed, f"sup-norm residual {worst:.3e}")
+
+
+def test_criterion_10_n4_round_trip_synthesis():
+    # a separable kernel is expanded factor by factor; on the 2662-node
+    # default quadrature grid its k = 2 product grid would hold 7.1e6 points
+    start = time.perf_counter()
+    grid = vf.build_grid(4, 16)
+    family = vf.build_family(4)
+    frame = vf.dual_frame(family, grid)
+    p_a = vf.make_perturbed_ball(1.0, {(2, 0): 0.05, (3, 1): 0.02}, grid)
+    p_b = vf.make_perturbed_ball(1.0, {(1, 0): 0.1, (4, 3): 0.03}, grid)
+    rng = np.random.default_rng(100)
+    bodies = [random_perturbed_ball(rng, grid) for _ in range(3)]
+    worst = 0.0
+    for k, factors in ((3, [p_a]), (2, [p_a, p_b])):
+        decomp = vf.decompose_kernel(vf.separable_kernel(factors), 4 - k, 4, n=4)
+        v = vf.KernelValuation(n=4, k=k, decomposition=decomp)
+        comb = vf.synthesize(v, family, frame)
+        assert comb.mixed_volume_count <= vf.mixed_volume_count_bound(4, k)
+        for K in bodies:
+            a = vf.evaluate_kernel_valuation(v, K, grid)
+            b = vf.evaluate_combination(comb, K, grid)
+            worst = max(worst, abs(a - b) / abs(a))
+    assert worst <= 1e-6
+    elapsed = time.perf_counter() - start
+    assert elapsed < 20.0
+    _report("10 n=4 round-trip-synthesis", elapsed, f"k = 3, 2: worst rel err {worst:.3e} over 6 evaluations")

@@ -325,8 +325,13 @@ def k2_artifact(tmp_path_factory):
         ),
         # a failed convexity certificate is a mathematical-check failure, not bad input
         ({"kind": "perturbed_ball", "radius": 1.0, "coeffs": {"2,0": 2.0}}, 1, "mathematical check failed"),
+        (
+            {"kind": "perturbed_ball", "radius": 1.0, "coeffs": {"2,9": 0.01}},
+            2,
+            "input error: body bad: harmonic label 2,9 is outside the n = 3 dictionary",
+        ),
     ],
-    ids=["unknown-kind", "negative-radius", "polytope", "non-convex"],
+    ids=["unknown-kind", "negative-radius", "polytope", "non-convex", "bad-label"],
 )
 def test_verify_bad_body(tmp_path, capsys, k2_artifact, body, code, message):
     bodies = tmp_path / "bodies.json"
@@ -349,3 +354,86 @@ def test_synthesize_twice_in_one_process_is_byte_identical(tmp_path, capsys):
         assert code == 0
         artifacts.append((tmp_path / run_dir / "run" / "artifact.json").read_bytes())
     assert artifacts[0] == artifacts[1]
+
+
+def _table_kernel(labels):
+    return {"type": "harmonic-table", "max_degree": 4, "terms": [{"coefficient": 1.0, "labels": labels}]}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"bodies": {"L1": {"kind": "ball", "radius": -1.0}}}, "input error: body L1: ball radius must be positive"),
+        (
+            {"kernel": _table_kernel(["2,7", "0,0"])},
+            "input error: kernel: harmonic label 2,7 is outside the n = 3 dictionary",
+        ),
+        ({"kernel": _table_kernel(["2", "0,0"])}, "input error: kernel: "),
+        ({"kernel": _table_kernel(["0,0"])}, "input error: harmonic-table entries need 2 labels"),
+        (
+            {"kernel": {"type": "harmonic-table", "terms": [{"labels": ["0,0", "0,0"]}]}},
+            "input error: kernel: missing field 'coefficient'",
+        ),
+    ],
+    ids=["negative-radius", "label-outside-dictionary", "malformed-label", "label-count", "no-coefficient"],
+)
+def test_synthesize_bad_config(tmp_path, capsys, change, message):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(dict(synth_config(tmp_path), **change)))
+    code, _, err = run(capsys, "synthesize", "--config", str(cfg))
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "run" / "artifact.json").exists()
+
+
+def _without(data, *path):
+    data = json.loads(json.dumps(data))
+    inner = data
+    for key in path[:-1]:
+        inner = inner[key]
+    del inner[path[-1]]
+    return data
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda a: {"n": 3, "k": 1, "terms": []}, "input error: artifact: missing field 'family'"),
+        (lambda a: _without(a, "terms"), "input error: artifact: missing field 'terms'"),
+        (lambda a: _without(a, "kernel", "terms", 0, "labels"), "input error: artifact: missing field 'labels'"),
+        # the kernel block before it became a label table: one coefficient dict per factor
+        (
+            lambda a: dict(a, kernel=dict(a["kernel"], terms=[[{"0,0": 1.0}]])),
+            "input error: artifact: ",
+        ),
+        (
+            lambda a: dict(a, kernel=dict(a["kernel"], terms=[{"coefficient": 1.0, "labels": ["5,0"]}])),
+            "input error: artifact: harmonic label 5,0 is outside the n = 3 dictionary of degree <= 4",
+        ),
+    ],
+    ids=["no-family", "no-terms", "no-labels", "old-kernel-block", "label-above-degree"],
+)
+def test_verify_bad_artifact(tmp_path, capsys, k2_artifact, edit, message):
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps(edit(json.loads(k2_artifact.read_text()))))
+    bodies = tmp_path / "bodies.json"
+    bodies.write_text(json.dumps([{"kind": "ball", "radius": 1.0}]))
+    out = tmp_path / "verify"
+    code, _, err = run(capsys, "verify", "--artifact", str(artifact), "--bodies", str(bodies), "--out", str(out))
+    assert code == 2
+    assert message in err
+    assert not (out / "verification.csv").exists()
+
+
+def test_synthesize_n2(tmp_path, capsys):
+    config = synth_config(tmp_path)
+    config.update(n=2, bodies={"L1": {"kind": "perturbed_ball", "radius": 1.0, "coeffs": {"2,0": 0.05, "3,1": 0.02}}})
+    config["kernel"]["bodies"] = ["L1"]
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(config))
+    code, out, _ = run(capsys, "synthesize", "--config", str(cfg))
+    assert code == 0
+    assert "for n=2, k=1" in out
+    rows = (tmp_path / "run" / "verification.csv").read_text().strip().splitlines()
+    assert len(rows) == 4
+    assert max(float(r.split(",")[-1]) for r in rows[1:]) <= 1e-10

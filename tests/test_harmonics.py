@@ -14,6 +14,9 @@ from valforge.harmonics import (
     _monomial_exponents,
     _monomial_tables,
     combine_dictionary,
+    dictionary_index,
+    dictionary_size,
+    harmonic_count,
     harmonic_dictionary,
     parity_filter_coeffs,
     project_to_dictionary,
@@ -247,3 +250,15 @@ def test_grid_tables_give_the_same_bits_as_a_copy(n):
     with pytest.raises(ValueError):
         stored[6][0, 0] = 0.0
     assert _monomial_tables(copy, [6])[6].flags.writeable
+
+
+def test_label_positions_match_the_dictionary():
+    for n in (2, 3, 4):
+        entries = harmonic_dictionary(n, 5)
+        assert dictionary_size(n, 5) == len(entries)
+        assert [dictionary_index(n, 5, (e.degree, e.index)) for e in entries] == list(range(len(entries)))
+        for label in ((6, 0), (2, harmonic_count(n, 2)), (-1, 0), (1, -1)):
+            with pytest.raises(ValueError, match=f"outside the n = {n} dictionary"):
+                dictionary_index(n, 5, label)
+    with pytest.raises(ValueError, match="harmonic label 2,9 is outside the n = 3 dictionary"):
+        combine_dictionary(3, {(2, 9): 1.0})

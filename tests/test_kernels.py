@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import valforge as vf
-from valforge.kernels import c_norm, reconstruct_batch
+from valforge.kernels import RankOneSumKernel, c_norm, reconstruct_batch
+from valforge.sphere import SphericalFunction
 from conftest import random_unit
 
 
@@ -122,3 +123,55 @@ def test_c_norm_single_term():
     c0 = c_norm(f, 0)
     assert c0 == pytest.approx(2.0 / np.sqrt(4 * np.pi), rel=1e-12)
     assert c_norm(f, 2) == pytest.approx(c0, rel=1e-9)
+
+
+class _LargestBatch(SphericalFunction):
+    """Wraps a spherical function and records the largest batch it was evaluated on."""
+
+    def __init__(self, f):
+        self.f = f
+        self.largest = 0
+
+    def values(self, X):
+        self.largest = max(self.largest, len(X))
+        return self.f.values(X)
+
+
+@pytest.mark.parametrize("n, factors", [(3, 1), (3, 2), (4, 1)])
+def test_rank_one_sum_matches_product_grid(n, factors):
+    grid = vf.build_grid(n, 12)
+    supports = [
+        _LargestBatch(vf.make_perturbed_ball(1.0, coeffs, grid).support)
+        for coeffs in ({(2, 0): 0.05, (3, 1): 0.02}, {(1, 0): 0.1, (4, 3): 0.03})[:factors]
+    ]
+    table = [(0.3, [(2, 1), (4, 2)]), (-0.2, [(1, 0), (3, 2)]), (0.1, [(0, 0), (2, 4)])]
+    kernel = RankOneSumKernel(
+        [(1.0, supports)] + [(c, [vf.combine_dictionary(n, {l: 1.0}) for l in labels[:factors]]) for c, labels in table]
+    )
+    quadrature = vf.build_grid(n, 10)
+    structured = vf.decompose_kernel(kernel, factors, 4, n=n, grid=quadrature)
+    # factors are evaluated on the grid and the residual sample, never on the product grid
+    assert max(f.largest for f in supports) <= quadrature.size
+    opaque = vf.decompose_kernel(lambda *points: kernel(*points), factors, 4, n=n, grid=quadrature)
+    assert len(structured) == len(opaque) > 0
+    got = dict(zip(map(tuple, structured.terms.tolist()), structured.coefficients))
+    want = dict(zip(map(tuple, opaque.terms.tolist()), opaque.coefficients))
+    assert set(got) == set(want)
+    # the two quadratures sum the same products in different orders
+    assert max(abs(got[row] - want[row]) for row in want) <= 1e-14 * max(map(abs, want.values()))
+    assert structured.residual < 1e-12
+
+
+def test_table_kernel_rejects_labels_outside_the_dictionary():
+    for label in ((2, 5), (1, -1), (-1, 0)):
+        with pytest.raises(ValueError, match="outside the n = 3 dictionary"):
+            vf.harmonic_table_kernel(3, [(1.0, [(0, 0), label])])
+    with pytest.raises(ValueError):
+        vf.harmonic_table_kernel(3, [(1.0, [(0, 0)]), (0.5, [(0, 0), (1, 0)])])
+
+
+def test_decomposition_label_table_is_coerced_and_checked():
+    decomp = vf.TensorDecomposition(n=3, factors=2, terms=[], coefficients=[], residual=0.0, max_degree=2)
+    assert decomp.terms.shape == (0, 2) and len(decomp) == 0
+    with pytest.raises(ValueError):
+        vf.TensorDecomposition(n=3, factors=2, terms=[[0, 1, 2]], coefficients=[1.0], residual=0.0, max_degree=2)
