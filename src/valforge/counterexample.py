@@ -16,7 +16,8 @@ The pairing is computed three ways: adaptive quadrature of the cancelled form
 independent sphere quadrature of the uncancelled integrand (gw_sphere_oracle).
 The oracle's integrand is zonal, so it reduces exactly to a 1-D integral in
 u = x_n against the weight (1-u^2)^{(n-3)/2}; Fejer's first rule for that
-weight is built by one DCT in O(N log N), with N = 500/eps polar nodes.
+weight is built by one DCT in O(N log N), with N = 500/eps polar nodes
+(at most 60 000, so eps >= 1/120 unless N is given).
 """
 
 import math
@@ -248,6 +249,10 @@ def _polar_rule(n: int, count: int):
     return u, dct(m, type=3) / count
 
 
+# cap on the oracle's default 500/eps polar nodes: an eps that needs more is refused, not truncated
+_MAX_POLAR_POINTS = 60_000
+
+
 def gw_sphere_oracle(phi: ZonalTestFunction, n: int = 3, polar_points: int | None = None) -> float:
     """Sphere-quadrature evaluation of the pairing (independent oracle).
 
@@ -256,13 +261,20 @@ def gw_sphere_oracle(phi: ZonalTestFunction, n: int = 3, polar_points: int | Non
     F depends on u = x_n alone, so the angular factor of the surface measure
     |S^{n-2}| (1-u^2)^{(n-3)/2} du dS^{n-2} integrates exactly to |S^{n-2}|
     and only the polar variable needs a rule: Fejer's first rule for the
-    weight (1-u^2)^{(n-3)/2}.  Its default 500/eps nodes (at most 60 000)
-    put about 80 nodes across the narrowest bump transition.
+    weight (1-u^2)^{(n-3)/2}.  Its default 500/eps nodes put about 80 nodes
+    across the narrowest bump transition.  That default is capped at 60 000
+    nodes, so for eps below 1/120 it raises ValueError rather than return an
+    unresolved value; an explicit ``polar_points`` is used as given.
     """
     if n < 3:
         raise ValueError("the zonal sphere oracle needs n >= 3")
     if polar_points is None:
-        polar_points = int(min(60_000, 500.0 / phi.eps))
+        polar_points = int(500.0 / phi.eps)
+        if polar_points > _MAX_POLAR_POINTS:
+            raise ValueError(
+                f"the default polar rule resolves eps >= {500.0 / _MAX_POLAR_POINTS:.6g} (1/120) only, "
+                f"got eps={phi.eps:g}; pass polar_points explicitly"
+            )
     u, w = _polar_rule(n, polar_points)
     f = CounterexampleDensity(n)(u)
     vals = f * (

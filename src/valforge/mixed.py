@@ -11,7 +11,8 @@ Two independent mixed-volume backends serve as mutual oracles:
 Minkowski-sum volumes default to convex hulls of vertex sums; for large vertex
 sets in R^3 an exact Gauss-map overlay evaluator (facet and edge-crossing
 contributions to the surface decomposition of the sum) avoids materializing
-the product vertex set.
+the product vertex set.  Its candidate arc crossings come from a KD-tree over
+the arc midpoints followed by the exact angular reach test on those pairs.
 """
 
 import itertools
@@ -20,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 from scipy.special import comb
 
 from .bodies import ConvexBody, NotSmoothError, hull_edges, mean_support_integral
@@ -165,6 +166,23 @@ class OverlayDegenerateError(RuntimeError):
     """Gauss-map overlay hit a non-generic configuration; fall back to hulls."""
 
 
+def _near_arc_pairs(arcs_i, arcs_j):
+    """Index pairs (i, j), sorted row-major, of arcs whose midpoints lie within their reach sum.
+
+    A KD-tree over the unit midpoints returns the pairs within the chord of the
+    widest reach sum; the exact angular test then runs on those pairs only.
+    """
+    mid_i, reach_i, mid_j, reach_j = arcs_i["mid"], arcs_i["reach"], arcs_j["mid"], arcs_j["reach"]
+    widest = min(math.pi, reach_i.max(initial=0.0) + reach_j.max(initial=0.0) + 1e-9)
+    radius = 2.0 * math.sin(0.5 * widest) + 1e-12
+    pairs = cKDTree(mid_i).sparse_distance_matrix(cKDTree(mid_j), radius, output_type="ndarray")
+    ii, jj = pairs["i"], pairs["j"]
+    sep = np.arccos(np.clip(np.einsum("kl,kl->k", mid_i[ii], mid_j[jj]), -1.0, 1.0))
+    near = sep <= reach_i[ii] + reach_j[jj] + 1e-9
+    order = np.lexsort((jj[near], ii[near]))
+    return ii[near][order], jj[near][order]
+
+
 class _GaussMapOverlay:
     """Exact volume polynomial of Minkowski combinations of 3-polytopes.
 
@@ -181,7 +199,7 @@ class _GaussMapOverlay:
         if any(V.shape[1] != 3 for V in self.vertex_sets):
             raise OverlayDegenerateError("overlay engine is specific to R^3")
         self._facets = []  # per body: (normals, areas)
-        self._arcs = []  # per body: dict with endpoints a, b, edge vectors w
+        self._arcs = []  # per body: arc endpoints a, b, midpoints, reaches, edge vectors w
         self._hull_volumes = []
         for V in self.vertex_sets:
             hull = ConvexHull(V)
@@ -212,40 +230,22 @@ class _GaussMapOverlay:
         cross = np.cross(simplices[:, 1] - simplices[:, 0], simplices[:, 2] - simplices[:, 0])
         areas = 0.5 * np.linalg.norm(cross, axis=1)
         arc = theta > 1e-6  # coplanar triangulation edges have zero-length arcs
-        w = ends[arc, 1] - ends[arc, 0]
-        return (normals, areas), {"a": normals[f[arc]], "b": normals[g[arc]], "w": w}
+        a, b, w = normals[f[arc]], normals[g[arc]], ends[arc, 1] - ends[arc, 0]
+        mid = (a + b) / np.linalg.norm(a + b, axis=1)[:, None]
+        reach = np.arccos(np.clip(np.einsum("ij,ij->i", a, mid), -1.0, 1.0))  # angular half-length
+        return (normals, areas), {"a": a, "b": b, "w": w, "mid": mid, "reach": reach}
 
     @staticmethod
     def _cross_arcs(arcs_i, arcs_j, tol=1e-10):
-        """Directions where normal arcs of edges from two bodies cross transversally."""
+        """Directions where normal arcs of edges from two bodies cross transversally.
+
+        Only candidate pairs are tried: a KD-tree over the arc midpoints, then the exact reach test.
+        """
         ai, bi, wi = arcs_i["a"], arcs_i["b"], arcs_i["w"]
         aj, bj, wj = arcs_j["a"], arcs_j["b"], arcs_j["w"]
-        if len(ai) == 0 or len(aj) == 0:
-            return np.zeros((0, 3)), np.zeros(0)
         ci_plane = np.cross(ai, bi)  # normal of each arc's great-circle plane
         cj_plane = np.cross(aj, bj)
-        mid_i = ai + bi
-        mid_i /= np.linalg.norm(mid_i, axis=1)[:, None]
-        mid_j = aj + bj
-        mid_j /= np.linalg.norm(mid_j, axis=1)[:, None]
-        # angular reach of each arc around its midpoint
-        reach_i = np.arccos(np.clip(np.einsum("ij,ij->i", ai, mid_i), -1.0, 1.0))
-        reach_j = np.arccos(np.clip(np.einsum("ij,ij->i", aj, mid_j), -1.0, 1.0))
-
-        cand_i, cand_j = [], []
-        chunk = 1024
-        for start in range(0, len(ai), chunk):
-            stop = min(start + chunk, len(ai))
-            cosd = np.clip(mid_i[start:stop] @ mid_j.T, -1.0, 1.0)
-            sep = np.arccos(cosd)
-            rows, cols = np.nonzero(sep <= reach_i[start:stop, None] + reach_j[None, :] + 1e-9)
-            cand_i.append(rows + start)
-            cand_j.append(cols)
-        ii = np.concatenate(cand_i)
-        jj = np.concatenate(cand_j)
-        if len(ii) == 0:
-            return np.zeros((0, 3)), np.zeros(0)
-
+        ii, jj = _near_arc_pairs(arcs_i, arcs_j)
         u = np.cross(wi[ii], wj[jj])
         nu = np.linalg.norm(u, axis=1)
         scale = np.linalg.norm(wi[ii], axis=1) * np.linalg.norm(wj[jj], axis=1)

@@ -122,6 +122,19 @@ def test_gw_zonal_matches_sphere_oracle(eps):
         assert c == pytest.approx(a, rel=1e-7), n
 
 
+@pytest.mark.parametrize("eps", [1e-3, 3e-4])
+def test_sphere_oracle_refuses_unresolved_default_rule(eps):
+    # the capped default rule gave rel. errors 0.25 (1e-3) and 17 (3e-4)
+    phi = vf.make_zonal_bump(eps)
+    with pytest.raises(ValueError, match="eps >= 0.00833333"):
+        vf.gw_sphere_oracle(phi, 3)
+
+
+def test_sphere_oracle_honours_explicit_polar_points():
+    phi = vf.make_zonal_bump(1e-3)
+    assert vf.gw_sphere_oracle(phi, 3, polar_points=500_000) == pytest.approx(vf.gw_zonal(phi, 3), rel=1e-7)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_polar_rule_weights_and_exactness(n):
     count = 40

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import valforge as vf
+from valforge import mixed
 from valforge.mixed import OverlayDegenerateError, _GaussMapOverlay, minkowski_volume, parallel_body_volume
 from conftest import random_perturbed_ball, random_rotation, random_spd
 
@@ -182,6 +183,54 @@ def test_polytope_mixed_volume_engines_agree():
     hull_value = vf.polytope_mixed_volume(polys, engine="hull")
     overlay_value = vf.polytope_mixed_volume(polys, engine="overlay")
     assert overlay_value == pytest.approx(hull_value, rel=1e-9)
+
+
+def dense_arc_pairs(arcs_i, arcs_j):
+    """All-pairs reference for the overlay's candidate search: arccos of the full midpoint cosine matrix."""
+    mids, reaches = [], []
+    for arcs in (arcs_i, arcs_j):
+        mid = arcs["a"] + arcs["b"]
+        mid /= np.linalg.norm(mid, axis=1)[:, None]
+        mids.append(mid)
+        reaches.append(np.arccos(np.clip(np.einsum("ij,ij->i", arcs["a"], mid), -1.0, 1.0)))
+    sep = np.arccos(np.clip(mids[0] @ mids[1].T, -1.0, 1.0))
+    return np.nonzero(sep <= reaches[0][:, None] + reaches[1][None, :] + 1e-9)
+
+
+def overlay_triple(case, rng):
+    if case == "random-10-point":
+        return [rng.normal(size=(10, 3)) for _ in range(3)]
+    level = int(case.removeprefix("level-"))
+    return [vf.ellipsoid_approx(random_spd(rng), level, rotation=random_rotation(rng)).vertices for _ in range(3)]
+
+
+@pytest.mark.parametrize("case", ["level-0", "level-2", "level-3", "random-10-point"])
+def test_sparse_arc_search_matches_dense(case, monkeypatch):
+    vsets = overlay_triple(case, np.random.default_rng(21))
+    sparse = _GaussMapOverlay(vsets)
+    for i, j in itertools.combinations(range(3), 2):
+        ii, jj = mixed._near_arc_pairs(sparse._arcs[i], sparse._arcs[j])
+        ref_i, ref_j = dense_arc_pairs(sparse._arcs[i], sparse._arcs[j])
+        assert np.array_equal(ii, ref_i) and np.array_equal(jj, ref_j)
+    monkeypatch.setattr(mixed, "_near_arc_pairs", dense_arc_pairs)
+    dense = _GaussMapOverlay(vsets)
+    for (_, _, dirs, areas), (_, _, ref_dirs, ref_areas) in zip(sparse._crossings, dense._crossings):
+        assert len(dirs) > 0
+        assert np.array_equal(dirs, ref_dirs) and np.array_equal(areas, ref_areas)
+    for lam in itertools.product((0, 1, 2), repeat=3):
+        assert sparse.volume(lam) == dense.volume(lam)
+
+
+def test_auto_engine_runs_the_overlay(monkeypatch):
+    rng = np.random.default_rng(22)
+    polys = [vf.ellipsoid_approx(random_spd(rng), 3, rotation=random_rotation(rng)) for _ in range(3)]
+    expected = vf.polytope_mixed_volume(polys, engine="overlay")
+
+    def no_hulls(*args):
+        raise AssertionError("the auto engine fell back to convex hulls")
+
+    monkeypatch.setattr(mixed, "minkowski_volume", no_hulls)
+    assert vf.polytope_mixed_volume(polys) == expected
 
 
 def test_routes_agree_on_ellipsoid_triples(grid20):
