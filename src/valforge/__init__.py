@@ -75,10 +75,7 @@ from .mixed import (
 from .sphere import (
     SphereGrid,
     SphericalFunction,
-    SymForm,
     build_grid,
-    mixed_discriminant,
-    restricted_hessian,
     sphere_area,
     tangent_basis,
 )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .harmonics import combine_dictionary
+from .harmonics import HarmonicCombination, combine_dictionary, harmonic_from_json, harmonic_to_json
 from .sphere import (
     ConstantFunction,
     LinearFunction,
@@ -103,7 +103,7 @@ class ConvexBody:
     smooth: bool
     matrix: np.ndarray | None = None
     radius: float | None = None
-    coeffs: dict | None = None
+    perturbation: HarmonicCombination | None = None
     vertices: np.ndarray | None = None
     parts: tuple | None = None
     center: np.ndarray | None = None
@@ -145,28 +145,28 @@ def make_ball(radius: float, n: int = 3) -> ConvexBody:
     return ConvexBody(kind="ball", n=n, support=ConstantFunction(radius), smooth=True, radius=float(radius))
 
 
-def make_perturbed_ball(radius: float, coeffs: dict, grid, threshold: float = 1e-6) -> ConvexBody:
+def make_perturbed_ball(radius: float, g, grid, threshold: float = 1e-6) -> ConvexBody:
     """Body with h = radius + g for a harmonic-dictionary perturbation g.
 
-    The support Hessian is swept over the grid nodes; construction fails with
-    ConvexityViolation unless its smallest eigenvalue stays >= threshold.
+    ``g`` is a HarmonicCombination, kept as the body's ``perturbation``, or a
+    {(l, j): c} label dict.  The support Hessian is swept over the grid
+    nodes; construction fails with ConvexityViolation unless its smallest
+    eigenvalue stays >= threshold.
     """
     if radius <= 0:
         raise ValueError("perturbed ball radius must be positive")
-    n = grid.n
-    coeffs = {(int(l), int(j)): float(c) for (l, j), c in coeffs.items()}
-    if coeffs:
-        g = combine_dictionary(n, coeffs)
-        support: SphericalFunction = SumFunction([(1.0, ConstantFunction(radius)), (1.0, g)])
-    else:
-        support = ConstantFunction(radius)
-    body = ConvexBody(
-        kind="perturbed_ball", n=n, support=support, smooth=True, radius=float(radius), coeffs=coeffs
-    )
+    body = _perturbed_ball(radius, g, grid.n)
     min_eig, node = _certificate_sweep(body, grid)
     if min_eig < threshold:
         raise ConvexityViolation(node, min_eig)
     return body
+
+
+def _perturbed_ball(radius: float, g, n: int) -> ConvexBody:
+    if not isinstance(g, HarmonicCombination):
+        g = combine_dictionary(n, g)
+    support = SumFunction([(1.0, ConstantFunction(radius)), (1.0, g)])
+    return ConvexBody(kind="perturbed_ball", n=n, support=support, smooth=True, radius=float(radius), perturbation=g)
 
 
 def make_polytope(vertices) -> ConvexBody:
@@ -372,7 +372,7 @@ def body_to_dict(body: ConvexBody) -> dict:
         out = {
             "kind": "perturbed_ball",
             "radius": float(body.radius),
-            "coeffs": {f"{l},{j}": float(c) for (l, j), c in sorted(body.coeffs.items())},
+            "coeffs": harmonic_to_json(body.perturbation),
         }
     else:
         raise ValueError(f"body kind {body.kind!r} has no JSON form")
@@ -397,20 +397,9 @@ def body_from_dict(data: dict, grid=None, n: int = 3) -> ConvexBody:
     elif kind == "polytope":
         body = make_polytope(np.asarray(data["vertices"], dtype=float))
     elif kind == "perturbed_ball":
-        coeffs = {}
-        for key, c in data.get("coeffs", {}).items():
-            l, j = key.split(",")
-            coeffs[(int(l), int(j))] = float(c)
-        if grid is not None:
-            body = make_perturbed_ball(float(data["radius"]), coeffs, grid)
-        else:
-            radius = float(data["radius"])
-            support: SphericalFunction = ConstantFunction(radius)
-            if coeffs:
-                support = SumFunction([(1.0, support), (1.0, combine_dictionary(n, coeffs))])
-            body = ConvexBody(
-                kind="perturbed_ball", n=n, support=support, smooth=True, radius=radius, coeffs=coeffs
-            )
+        g = harmonic_from_json(n, data.get("coeffs", {}))
+        radius = float(data["radius"])
+        body = make_perturbed_ball(radius, g, grid) if grid is not None else _perturbed_ball(radius, g, n)
     else:
         raise ValueError(f"unknown body kind {kind!r}")
     if "center" in data:

@@ -1,15 +1,23 @@
-"""Homogeneous harmonic polynomials and orthonormal band-limited dictionaries.
+"""Orthonormal band-limited harmonic dictionaries and functions expanded in them.
 
-A polynomial stores its coefficients in the canonical (sorted) degree-l
-monomial order and evaluates as M_l c with the monomial table
-M_l[g, t] = x_g^{e_t}, gathered from one power table P[g, i, d] = x_{g,i}^d
-that is filled by repeated multiplication and shared by every degree of a
-call.  On a grid's own ``nodes`` array each M_l is built once and kept,
-read-only, in the grid's store (``sphere._grid_tables``) for as long as the
-grid lives; every other array gets fresh tables from one power table per
-call.  Exact integer maps on coefficient vectors give grad p and Hess p from
-the tables of degrees l-1 and l-2.  A degree-l harmonic polynomial p
-restricted to the sphere has the closed-form extension Hessian
+A band-limited function is one coefficient vector ``c`` over the orthonormal
+dictionary: entry (l, j) is the j-th degree-l harmonic restriction, and the
+entries run by degree, then by index, so the dictionary of each degree
+extends the one below.  Labels appear only at the edges: the ``"l,j"`` JSON
+keys (``harmonic_to_json`` / ``harmonic_from_json``) and the labelled dicts
+of ``combine_dictionary``, which checks them once against a per-(n, degree)
+table of block offsets.  Parity filtering is a mask on the degrees.
+
+Degree-l harmonics are polynomials in the canonical (sorted) monomial
+order; a function evaluates as sum_l M_l (rows_l^T c_l), with the monomial
+table M_l[g, t] = x_g^{e_t} gathered from one power table P[g, i, d] =
+x_{g,i}^d that is filled by repeated multiplication and shared by every
+degree of a call.  On a grid's own ``nodes`` array each M_l is built once
+and kept, read-only, in the grid's store (``sphere._grid_tables``) for as
+long as the grid lives; every other array gets fresh tables from one power
+table per call.  Exact integer maps on monomial coefficients give grad p and
+Hess p from the tables of degrees l-1 and l-2.  A degree-l harmonic
+polynomial p restricted to the sphere has the closed-form extension Hessian
 
     H(x) = Hess p(x) + (1-l) [ p(x) (Id - (l+1) x x^T) + x (grad p)^T + (grad p) x^T ],
 
@@ -25,7 +33,7 @@ orthonormalized against the exact monomial sphere integrals.
 
 import itertools
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -33,16 +41,16 @@ from scipy.linalg import solve_triangular
 from .sphere import SphericalFunction, _grid_tables, monomial_sphere_integral
 
 __all__ = [
-    "HomogeneousPolynomial",
     "HarmonicCombination",
     "harmonic_dictionary",
-    "dictionary_index",
+    "dictionary_positions",
     "dictionary_size",
     "dictionary_values",
     "harmonic_count",
     "combine_dictionary",
+    "harmonic_from_json",
+    "harmonic_to_json",
     "project_to_dictionary",
-    "parity_filter_coeffs",
 ]
 
 
@@ -111,23 +119,6 @@ def _derivative_maps(n: int, degree: int):
     return grad, np.einsum("jab,ibc->ijac", gradient_map(degree - 1), grad)
 
 
-class HomogeneousPolynomial:
-    """Homogeneous polynomial sum_t c_t * x^{e_t}, stored in the canonical monomial order."""
-
-    def __init__(self, exponents: np.ndarray, coeffs: np.ndarray):
-        rows = np.asarray(exponents, dtype=int)
-        self.n = rows.shape[1]
-        self.degree = int(rows[0].sum()) if len(rows) else 0
-        self.exponents = _monomial_exponents(self.n, self.degree)
-        index = _monomial_index(self.n, self.degree)
-        self.coeffs = np.zeros(len(self.exponents))
-        np.add.at(self.coeffs, [index[tuple(e)] for e in rows.tolist()], np.asarray(coeffs, dtype=float))
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return _monomial_tables(X, [self.degree])[self.degree] @ self.coeffs
-
-
 def _harmonic_basis(n: int, degree: int) -> np.ndarray:
     """Harmonic coefficient rows, one per monomial q x_n^r with r <= 1, in the canonical order.
 
@@ -178,50 +169,117 @@ def _harmonic_coefficients(n: int, degree: int):
     return exps, ortho
 
 
-class HarmonicCombination(SphericalFunction):
-    """Band-limited spherical function: a sum of restricted harmonic polynomials.
 
-    ``dict_coeffs`` maps dictionary labels (l, j) to coefficients whenever the
-    instance was assembled from the orthonormal dictionary, enabling exact
-    serialization and parity filtering.
+
+def harmonic_count(n: int, degree: int) -> int:
+    """Dimension of the degree-``degree`` harmonics in n variables: C(l+n-1, n-1) - C(l+n-3, n-1)."""
+    return math.comb(degree + n - 1, n - 1) - (math.comb(degree + n - 3, n - 1) if degree >= 2 else 0)
+
+
+@lru_cache(maxsize=None)
+def _offsets(n: int, max_degree: int) -> np.ndarray:
+    """Block starts in dictionary order: degree l occupies offsets[l]:offsets[l + 1]."""
+    offsets = np.cumsum([0] + [harmonic_count(n, l) for l in range(max_degree + 1)])
+    offsets.setflags(write=False)
+    return offsets
+
+
+def dictionary_size(n: int, max_degree: int) -> int:
+    return int(_offsets(n, max_degree)[-1])
+
+
+@lru_cache(maxsize=None)
+def _dictionary_labels(n: int, max_degree: int) -> np.ndarray:
+    """The (l, j) label of every dictionary entry, in dictionary order, shape (D, 2)."""
+    offsets = _offsets(n, max_degree)
+    degrees = np.repeat(np.arange(max_degree + 1), np.diff(offsets))
+    labels = np.column_stack([degrees, np.arange(offsets[-1]) - offsets[degrees]])
+    labels.setflags(write=False)
+    return labels
+
+
+@lru_cache(maxsize=None)
+def _dictionary_degree(n: int, size: int) -> int:
+    """The degree whose dictionary has exactly ``size`` entries (-1 for none)."""
+    degree = -1
+    while dictionary_size(n, degree) < size:
+        degree += 1
+    if dictionary_size(n, degree) != size:
+        raise ValueError(f"{size} coefficients fill no n = {n} harmonic dictionary")
+    return degree
+
+
+def dictionary_positions(n: int, labels, max_degree: int | None = None) -> np.ndarray:
+    """Positions of (l, j) labels in ``harmonic_dictionary(n, max_degree)``.
+
+    Raises ValueError for the first label outside that dictionary (by default
+    the dictionary of the label's own degree).
+    """
+    l, j = np.asarray(labels, dtype=int).reshape(len(labels), 2).T
+    top = int(l.max(initial=-1)) if max_degree is None else max_degree
+    offsets = _offsets(n, top)
+    inside = (0 <= l) & (l <= top) & (0 <= j)
+    inside[inside] &= j[inside] < np.diff(offsets)[l[inside]]
+    if not inside.all():
+        bad = int(np.argmin(inside))
+        degree = l[bad] if max_degree is None else max_degree
+        raise ValueError(f"harmonic label {l[bad]},{j[bad]} is outside the n = {n} dictionary of degree <= {degree}")
+    return offsets[l] + j
+
+
+class HarmonicCombination(SphericalFunction):
+    """Band-limited spherical function sum_d c_d phi_d over the orthonormal harmonic dictionary.
+
+    ``c`` holds the coefficients in ``harmonic_dictionary(n, max_degree)``
+    order; each dictionary extends the one of the degree below, so the same
+    vector serves every larger dictionary.  The monomial coefficients
+    rows_l^T c_l of each degree are computed once, on first use, and degrees
+    whose block of ``c`` is all zero are skipped.
     """
 
-    def __init__(self, pieces, dict_coeffs=None):
-        # pieces: list of (degree, HomogeneousPolynomial)
-        self.pieces = [(int(l), p) for l, p in pieces]
-        self.n = self.pieces[0][1].n if self.pieces else None
-        self.dict_coeffs = dict(dict_coeffs) if dict_coeffs is not None else None
+    def __init__(self, n: int, c):
+        self.n = int(n)
+        self.c = np.array(c, dtype=float).reshape(-1)
+        self.c.setflags(write=False)
+        self.max_degree = _dictionary_degree(self.n, len(self.c))
 
     @property
-    def max_degree(self) -> int:
-        return max((l for l, _ in self.pieces), default=0)
+    def labels(self) -> np.ndarray:
+        """The (l, j) label of each coefficient, shape (len(c), 2)."""
+        return _dictionary_labels(self.n, self.max_degree)
+
+    @cached_property
+    def _monomials(self) -> dict:
+        offsets = _offsets(self.n, self.max_degree)
+        blocks = {l: self.c[offsets[l] : offsets[l + 1]] for l in range(self.max_degree + 1)}
+        return {l: _harmonic_coefficients(self.n, l)[1].T @ c for l, c in blocks.items() if c.any()}
 
     def values(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        tables = _monomial_tables(X, {p.degree for _, p in self.pieces})
+        tables = _monomial_tables(X, self._monomials)
         out = np.zeros(X.shape[0])
-        for _, p in self.pieces:
-            out += tables[p.degree] @ p.coeffs
+        for l, p in self._monomials.items():
+            out += tables[l] @ p
         return out
 
     def hessians(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         m, n = X.shape
-        tables = _monomial_tables(X, {p.degree - d for _, p in self.pieces for d in range(3)})
-        # per piece only the scalar, gradient and Hessian parts; the (m, n, n)
+        tables = _monomial_tables(X, {l - d for l in self._monomials for d in range(3)})
+        # per degree only the scalar, gradient and Hessian parts; the (m, n, n)
         # extension terms are applied once to their (1 - l)-weighted sums
         hess = np.zeros((m, n * n))
         scalar = np.zeros(m)
         radial = np.zeros(m)
         grad = np.zeros((m, n))
-        for l, p in self.pieces:
-            d1, d2 = _derivative_maps(n, p.degree)
+        for l, p in self._monomials.items():
+            d1, d2 = _derivative_maps(n, l)
             c = 1.0 - l
-            vals = tables[p.degree] @ p.coeffs
+            vals = tables[l] @ p
             scalar += c * vals
             radial += c * (l + 1.0) * vals
-            grad += c * (tables[p.degree - 1] @ (d1 @ p.coeffs).T)
-            hess += tables[p.degree - 2] @ (d2 @ p.coeffs).reshape(n * n, -1).T
+            grad += c * (tables[l - 1] @ (d1 @ p).T)
+            hess += tables[l - 2] @ (d2 @ p).reshape(n * n, -1).T
         out = hess.reshape(m, n, n)
         out -= radial[:, None, None] * X[:, :, None] * X[:, None, :]
         cross = X[:, :, None] * grad[:, None, :]
@@ -232,10 +290,10 @@ class HarmonicCombination(SphericalFunction):
     def spherical_gradients(self, X):
         """Intrinsic gradient of the restriction, (I - x x^T) grad p, shape (m, n)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        tables = _monomial_tables(X, {p.degree - d for _, p in self.pieces for d in range(2)})
+        tables = _monomial_tables(X, {l - d for l in self._monomials for d in range(2)})
         out = np.zeros_like(X)
-        for _, p in self.pieces:
-            out += tables[p.degree - 1] @ (_derivative_maps(X.shape[1], p.degree)[0] @ p.coeffs).T
+        for l, p in self._monomials.items():
+            out += tables[l - 1] @ (_derivative_maps(X.shape[1], l)[0] @ p).T
         radial = np.einsum("ij,ij->i", out, X)
         return out - radial[:, None] * X
 
@@ -244,58 +302,38 @@ class HarmonicCombination(SphericalFunction):
 def harmonic_dictionary(n: int, max_degree: int):
     """Orthonormal dictionary of harmonic restrictions of degree <= max_degree.
 
-    Returns a tuple of HarmonicCombination entries; entry attributes ``degree``
-    and ``index`` give the label (l, j) and ``dict_coeffs`` is {(l, j): 1.0}.
+    Returns a tuple of HarmonicCombination entries, entry d holding the unit
+    vector e_d; entry attributes ``degree`` and ``index`` give its label (l, j).
     """
     entries = []
-    for l in range(max_degree + 1):
-        exps, coeff_rows = _harmonic_coefficients(n, l)
-        for j, row in enumerate(coeff_rows):
-            poly = HomogeneousPolynomial(exps, row)
-            fn = HarmonicCombination([(l, poly)], dict_coeffs={(l, j): 1.0})
-            fn.degree = l
-            fn.index = j
-            entries.append(fn)
+    for d, (l, j) in enumerate(_dictionary_labels(n, max_degree).tolist()):
+        fn = HarmonicCombination(n, np.eye(1, dictionary_size(n, l), d)[0])
+        fn.degree, fn.index = l, j
+        entries.append(fn)
     return tuple(entries)
 
 
-def harmonic_count(n: int, degree: int) -> int:
-    """Dimension of the degree-``degree`` harmonics in n variables: C(l+n-1, n-1) - C(l+n-3, n-1)."""
-    return math.comb(degree + n - 1, n - 1) - (math.comb(degree + n - 3, n - 1) if degree >= 2 else 0)
-
-
-def dictionary_size(n: int, max_degree: int) -> int:
-    return sum(harmonic_count(n, l) for l in range(max_degree + 1))
-
-
-def dictionary_index(n: int, max_degree: int, label) -> int:
-    """Position of the label (l, j) in ``harmonic_dictionary(n, max_degree)``.
-
-    Raises ValueError for a label outside that dictionary.
-    """
-    l, j = (int(v) for v in label)
-    if not (0 <= l <= max_degree and 0 <= j < harmonic_count(n, l)):
-        raise ValueError(f"harmonic label {l},{j} is outside the n = {n} dictionary of degree <= {max_degree}")
-    return dictionary_size(n, l - 1) + j
-
-
 def combine_dictionary(n: int, coeffs: dict) -> HarmonicCombination:
-    """Assemble sum_{(l,j)} c_{lj} * phi_{lj} from dictionary coefficients.
+    """sum_{(l,j)} c_{lj} * phi_{lj} from labelled coefficients, as a vector in dictionary order.
 
     Raises ValueError for a label outside the dictionary.
     """
-    by_degree = {}
-    for (l, j), c in coeffs.items():
-        dictionary_index(n, int(l), (l, j))
-        by_degree.setdefault(int(l), {})[int(j)] = float(c)
-    pieces = []
-    for l, jc in sorted(by_degree.items()):
-        exps, rows = _harmonic_coefficients(n, l)
-        total = np.zeros(rows.shape[1])
-        for j, c in jc.items():
-            total += c * rows[j]
-        pieces.append((l, HomogeneousPolynomial(exps, total)))
-    return HarmonicCombination(pieces, dict_coeffs={(int(l), int(j)): float(c) for (l, j), c in coeffs.items()})
+    labels = [(int(l), int(j)) for l, j in coeffs]
+    positions = dictionary_positions(n, labels)
+    c = np.zeros(dictionary_size(n, max((l for l, _ in labels), default=-1)))
+    c[positions] = [float(v) for v in coeffs.values()]
+    return HarmonicCombination(n, c)
+
+
+def harmonic_to_json(g: HarmonicCombination) -> dict:
+    """{"l,j": c} over the nonzero coefficients of g, in dictionary order."""
+    nonzero = np.flatnonzero(g.c)
+    return {f"{l},{j}": c for (l, j), c in zip(g.labels[nonzero].tolist(), g.c[nonzero].tolist())}
+
+
+def harmonic_from_json(n: int, data: dict) -> HarmonicCombination:
+    """Inverse of ``harmonic_to_json``; a malformed or out-of-dictionary label raises ValueError."""
+    return combine_dictionary(n, {tuple(key.split(",")): c for key, c in data.items()})
 
 
 def dictionary_values(X: np.ndarray, max_degree: int) -> np.ndarray:
@@ -305,23 +343,14 @@ def dictionary_values(X: np.ndarray, max_degree: int) -> np.ndarray:
     return np.vstack([(tables[l] @ _harmonic_coefficients(X.shape[1], l)[1].T).T for l in range(max_degree + 1)])
 
 
-def project_to_dictionary(values: np.ndarray, grid, max_degree: int) -> dict:
+def project_to_dictionary(values: np.ndarray, grid, max_degree: int) -> np.ndarray:
     """L2 projection coefficients of node values onto the dictionary, rows_l M_l^T (w g) per degree.
 
-    Exact for band-limited inputs when grid.degree >= 2 * max_degree.
+    Returns the vector in dictionary order; exact for band-limited inputs
+    when grid.degree >= 2 * max_degree.
     """
     weighted = grid.weights * np.asarray(values, dtype=float)
     tables = _monomial_tables(grid.nodes, range(max_degree + 1))
-    coeffs = {}
-    for l in range(max_degree + 1):
-        rows = _harmonic_coefficients(grid.n, l)[1]
-        coeffs.update({(l, j): float(c) for j, c in enumerate(rows @ (tables[l].T @ weighted))})
-    return coeffs
-
-
-def parity_filter_coeffs(coeffs: dict, parity: str) -> dict:
-    """Keep the even- or odd-degree part of dictionary coefficients."""
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    rem = 0 if parity == "even" else 1
-    return {(l, j): c for (l, j), c in coeffs.items() if l % 2 == rem}
+    return np.concatenate(
+        [_harmonic_coefficients(grid.n, l)[1] @ (tables[l].T @ weighted) for l in range(max_degree + 1)]
+    )

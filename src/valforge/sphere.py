@@ -19,7 +19,6 @@ their tables for the life of the process.
 
 import itertools
 import math
-import warnings
 import weakref
 from dataclasses import dataclass
 
@@ -32,14 +31,10 @@ __all__ = [
     "ConstantFunction",
     "LinearFunction",
     "SumFunction",
-    "CallableSpherical",
-    "SymForm",
     "build_grid",
     "fd_hessians",
-    "mixed_discriminant",
     "mixed_discriminant_stack",
     "monomial_sphere_integral",
-    "restricted_hessian",
     "sphere_area",
     "tangent_basis",
     "tangent_bases",
@@ -253,16 +248,6 @@ class SumFunction(SphericalFunction):
         return out
 
 
-class CallableSpherical(SphericalFunction):
-    """Wrap a vectorized evaluator; Hessians come from the finite-difference path."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def values(self, X):
-        return np.asarray(self.fn(np.atleast_2d(X)), dtype=float)
-
-
 def _extension_values(f: SphericalFunction, Y: np.ndarray) -> np.ndarray:
     r = np.linalg.norm(Y, axis=1)
     return r * f.values(Y / r[:, None])
@@ -298,69 +283,9 @@ def fd_hessians(f: SphericalFunction, X: np.ndarray, base_step: float = 1e-3) ->
     return (4.0 * fine - coarse) / 3.0
 
 
-@dataclass(frozen=True)
-class SymForm:
-    """Symmetric bilinear form on a tangent space in a declared orthonormal basis."""
-
-    matrix: np.ndarray
-    basis: np.ndarray
-
-
-def restricted_hessian(f: SphericalFunction, x, basis: np.ndarray | None = None) -> SymForm:
-    """Restriction of the extension Hessian of f to the tangent space at x.
-
-    Uses the closed-form Hessian when the function provides one, otherwise the
-    finite-difference path.  Asymmetry beyond 1e-6 is reported as a numerical
-    diagnostic and the result is symmetrized.
-    """
-    x = np.asarray(x, dtype=float)
-    if basis is None:
-        basis = tangent_basis(x)
-    H = f.hessians(x[None])[0]
-    B = basis.T @ H @ basis
-    asym = float(np.max(np.abs(B - B.T)))
-    if asym > 1e-6:
-        warnings.warn(
-            f"restricted Hessian asymmetry {asym:.3e} exceeds 1e-6 (numerical failure)",
-            stacklevel=2,
-        )
-    return SymForm(matrix=0.5 * (B + B.T), basis=basis)
-
-
 def restricted_hessian_stack(f: SphericalFunction, nodes: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """Tangent-restricted Hessians of f at all nodes, shape (m, n-1, n-1)."""
     return np.swapaxes(bases, 1, 2) @ f.hessians(nodes) @ bases
-
-
-def _as_matrices(forms):
-    mats = []
-    ref_basis = None
-    for form in forms:
-        if isinstance(form, SymForm):
-            if ref_basis is None:
-                ref_basis = form.basis
-            elif not np.allclose(form.basis, ref_basis, atol=1e-12):
-                raise ValueError("mixed discriminant arguments use different tangent bases")
-            mats.append(np.asarray(form.matrix, dtype=float))
-        else:
-            mats.append(np.asarray(form, dtype=float))
-    return mats
-
-
-def mixed_discriminant(forms) -> float:
-    """Polarized determinant of m symmetric m x m forms.
-
-    Computed by inclusion-exclusion over subsets,
-    (1/m!) sum_{S subset [m]} (-1)^{m-|S|} det(sum_{i in S} A_i),
-    which is fully symmetric and multilinear in the arguments; this is the
-    one-point case of ``mixed_discriminant_stack``.
-    """
-    mats = _as_matrices(forms)
-    m = len(mats)
-    for A in mats:
-        if A.shape != (m, m):
-            raise ValueError(f"mixed discriminant of {m} forms needs {m}x{m} matrices, got {A.shape}")
-    return float(mixed_discriminant_stack([A[None] for A in mats])[0])
 
 
 def mixed_discriminant_stack(stacks) -> np.ndarray:

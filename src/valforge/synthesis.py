@@ -22,11 +22,11 @@ from .bodies import ConvexBody, ConvexityViolation, make_ball, make_perturbed_ba
 from .family import EllipsoidFamily, SpanningFrame
 from .harmonics import (
     HarmonicCombination,
-    combine_dictionary,
-    dictionary_index,
+    dictionary_positions,
     dictionary_values,
     harmonic_dictionary,
-    parity_filter_coeffs,
+    harmonic_from_json,
+    harmonic_to_json,
     project_to_dictionary,
 )
 from .kernels import TensorDecomposition
@@ -137,17 +137,14 @@ def accumulate_g_alpha(v: KernelValuation, frame: SpanningFrame) -> dict:
     return buckets
 
 
-def parity_project(g, parity: str):
-    """Even or odd part (g(x) +- g(-x)) / 2 of a spherical function."""
-    if isinstance(g, HarmonicCombination) and g.dict_coeffs is not None:
-        return combine_dictionary(g.n, parity_filter_coeffs(g.dict_coeffs, parity))
+def parity_project(g: HarmonicCombination, parity: str) -> HarmonicCombination:
+    """Even or odd part (g(x) +- g(-x)) / 2 of a dictionary-backed function: its even or odd degrees."""
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    sign = 1.0 if parity == "even" else -1.0
-
-    from .sphere import CallableSpherical
-
-    return CallableSpherical(lambda X: 0.5 * (g.values(X) + sign * g.values(-np.asarray(X))))
+    if not isinstance(g, HarmonicCombination):
+        raise ValueError("parity projection needs a dictionary-backed band-limited function")
+    keep = g.labels[:, 0] % 2 == (parity == "odd")
+    return HarmonicCombination(g.n, np.where(keep, g.c, 0.0))
 
 
 class ConvexificationFailure(RuntimeError):
@@ -161,18 +158,18 @@ def convexify(g, grid: SphereGrid, threshold: float = 1e-6, max_doublings: int =
     (D^2 g))_+ + max|g|) and L+ carries the support g + R; if the certificate
     fails the radius doubles, at most ``max_doublings`` times.
     """
-    if not isinstance(g, HarmonicCombination) or g.dict_coeffs is None:
+    if not isinstance(g, HarmonicCombination):
         raise ValueError("convexify needs a dictionary-backed band-limited function")
     bases = tangent_bases(grid.nodes)
     forms = restricted_hessian_stack(g, grid.nodes, bases)
     eigs = np.linalg.eigvalsh(forms)[:, 0]
     neg = max(0.0, float(-np.min(eigs)))
-    gmax = float(np.max(np.abs(g.values(grid.nodes)))) if g.pieces else 0.0
+    gmax = float(np.max(np.abs(g.values(grid.nodes))))
     radius = max(1.0, 2.0 * neg + gmax)
     last_error = None
     for _ in range(max_doublings + 1):
         try:
-            l_plus = make_perturbed_ball(radius, g.dict_coeffs, grid, threshold=threshold)
+            l_plus = make_perturbed_ball(radius, g, grid, threshold=threshold)
             l_minus = make_ball(radius, n=grid.n)
             return l_plus, l_minus, radius
         except ConvexityViolation as err:
@@ -234,11 +231,9 @@ def synthesize(
     proj_degree = v.decomposition.max_degree + projection_margin
     terms = []
     for alpha in sorted(buckets):
-        g_nodes = n * buckets[alpha]
-        coeffs = project_to_dictionary(g_nodes, grid, proj_degree)
+        carrier = HarmonicCombination(n, project_to_dictionary(n * buckets[alpha], grid, proj_degree))
         if v.parity is not None:
-            coeffs = parity_filter_coeffs(coeffs, v.parity)
-        carrier = combine_dictionary(n, coeffs)
+            carrier = parity_project(carrier, v.parity)
         l_plus, l_minus, radius = convexify(carrier, grid)
         terms.append(
             CombinationTerm(alpha=alpha, g=carrier, l_plus=l_plus, l_minus=l_minus, radius=radius)
@@ -280,18 +275,6 @@ def evaluate_combination(comb: FiniteCombination, K: ConvexBody, grid: SphereGri
 # -- artifact serialization ---------------------------------------------------
 
 
-def _coeffs_to_json(coeffs: dict) -> dict:
-    return {f"{l},{j}": float(c) for (l, j), c in sorted(coeffs.items())}
-
-
-def _coeffs_from_json(data: dict) -> dict:
-    out = {}
-    for key, c in data.items():
-        l, j = key.split(",")
-        out[(int(l), int(j))] = float(c)
-    return out
-
-
 def combination_to_dict(comb: FiniteCombination, v: KernelValuation | None = None) -> dict:
     """JSON-ready artifact: family, per-alpha terms, and optionally the kernel."""
     from .bodies import body_to_dict
@@ -311,7 +294,7 @@ def combination_to_dict(comb: FiniteCombination, v: KernelValuation | None = Non
             {
                 "alpha": list(term.alpha),
                 "radius": float(term.radius),
-                "g": _coeffs_to_json(term.g.dict_coeffs),
+                "g": harmonic_to_json(term.g),
                 "l_plus": body_to_dict(term.l_plus),
                 "l_minus": body_to_dict(term.l_minus),
             }
@@ -346,12 +329,10 @@ def combination_from_dict(data: dict, grid: SphereGrid):
         raise ValueError("artifact family does not match the canonical construction")
     terms = []
     for entry in data["terms"]:
-        coeffs = _coeffs_from_json(entry["g"])
-        carrier = combine_dictionary(n, coeffs)
         terms.append(
             CombinationTerm(
                 alpha=tuple(int(a) for a in entry["alpha"]),
-                g=carrier,
+                g=harmonic_from_json(n, entry["g"]),
                 l_plus=body_from_dict(entry["l_plus"], grid=grid),
                 l_minus=body_from_dict(entry["l_minus"], grid=grid),
                 radius=float(entry["radius"]),
@@ -371,7 +352,9 @@ def combination_from_dict(data: dict, grid: SphereGrid):
         decomp = TensorDecomposition(
             n=n,
             factors=int(kdata["factors"]),
-            terms=[[dictionary_index(n, max_degree, label.split(",")) for label in t["labels"]] for t in kdata["terms"]],
+            terms=[
+                dictionary_positions(n, [label.split(",") for label in t["labels"]], max_degree) for t in kdata["terms"]
+            ],
             coefficients=[float(t["coefficient"]) for t in kdata["terms"]],
             residual=0.0,
             max_degree=max_degree,

@@ -16,6 +16,9 @@ from valforge.sphere import tangent_basis
 from conftest import random_perturbed_ball, random_rotation, random_spd, random_unit
 
 
+BUDGET_N4_K1_S = 9.0  # twice the ≈4.5 s measured on a 2-core machine
+
+
 def _report(name, elapsed, detail):
     print(f"ACCEPTANCE {name}: PASS ({elapsed:.2f}s) {detail}")
 
@@ -311,3 +314,25 @@ def test_criterion_10_n4_round_trip_synthesis():
     elapsed = time.perf_counter() - start
     assert elapsed < 20.0
     _report("10 n=4 round-trip-synthesis", elapsed, f"k = 3, 2: worst rel err {worst:.3e} over 6 evaluations")
+
+
+def test_criterion_10_n4_k1_round_trip_synthesis():
+    # three factors: 66 alpha-terms, each carrier on the 285-entry degree-8 dictionary
+    start = time.perf_counter()
+    grid = vf.build_grid(4, 12)
+    family = vf.build_family(4)
+    frame = vf.dual_frame(family, grid)
+    labels = ({(2, 0): 0.05, (3, 1): 0.02}, {(1, 0): 0.1, (4, 3): 0.03}, {(2, 3): 0.04, (1, 2): 0.05})
+    factors = [vf.make_perturbed_ball(1.0, coeffs, grid) for coeffs in labels]
+    decomp = vf.decompose_kernel(vf.separable_kernel(factors), 3, 4, n=4)
+    v = vf.KernelValuation(n=4, k=1, decomposition=decomp)
+    comb = vf.synthesize(v, family, frame)
+    assert len(comb.terms) == vf.mixed_volume_count_bound(4, 1) // 2 == 66
+    K = random_perturbed_ball(np.random.default_rng(101), grid)
+    a = vf.evaluate_kernel_valuation(v, K, grid)
+    b = vf.evaluate_combination(comb, K, grid)
+    err = abs(a - b) / abs(a)
+    assert err <= 1e-6
+    elapsed = time.perf_counter() - start
+    assert elapsed < BUDGET_N4_K1_S
+    _report("10 n=4 k=1 round-trip-synthesis", elapsed, f"66 alpha-terms, rel err {err:.3e}")

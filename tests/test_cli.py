@@ -395,6 +395,15 @@ def _without(data, *path):
     return data
 
 
+def _with(data, *path, value):
+    data = json.loads(json.dumps(data))
+    inner = data
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return data
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -410,8 +419,16 @@ def _without(data, *path):
             lambda a: dict(a, kernel=dict(a["kernel"], terms=[{"coefficient": 1.0, "labels": ["5,0"]}])),
             "input error: artifact: harmonic label 5,0 is outside the n = 3 dictionary of degree <= 4",
         ),
+        (
+            lambda a: _with(a, "terms", 0, "g", "2,9", value=0.01),
+            "input error: artifact: harmonic label 2,9 is outside",
+        ),
+        (
+            lambda a: _with(a, "terms", 0, "l_plus", "coeffs", "3,7", value=0.01),
+            "input error: artifact: harmonic label 3,7 is outside",
+        ),
     ],
-    ids=["no-family", "no-terms", "no-labels", "old-kernel-block", "label-above-degree"],
+    ids=["no-family", "no-terms", "no-labels", "old-kernel-block", "label-above-degree", "g-label", "l-plus-label"],
 )
 def test_verify_bad_artifact(tmp_path, capsys, k2_artifact, edit, message):
     artifact = tmp_path / "artifact.json"

@@ -8,19 +8,20 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from valforge.harmonics import (
-    HomogeneousPolynomial,
+    HarmonicCombination,
     _derivative_maps,
     _harmonic_basis,
+    _harmonic_coefficients,
     _monomial_exponents,
     _monomial_tables,
     combine_dictionary,
-    dictionary_index,
+    dictionary_positions,
     dictionary_size,
     harmonic_count,
     harmonic_dictionary,
-    parity_filter_coeffs,
     project_to_dictionary,
 )
+from valforge.synthesis import parity_project
 from valforge.sphere import _grid_tables, build_grid, fd_hessians, restricted_hessian_stack, tangent_bases
 from conftest import random_unit
 
@@ -88,21 +89,20 @@ def test_projection_roundtrip_band_limited(grid20):
     coeffs = {(0, 0): 1.2, (2, 1): -0.4, (4, 6): 0.25}
     f = combine_dictionary(3, coeffs)
     recovered = project_to_dictionary(f.values(grid20.nodes), grid20, 5)
-    for key, c in coeffs.items():
-        assert recovered[key] == pytest.approx(c, abs=1e-12)
-    others = {k: v for k, v in recovered.items() if k not in coeffs}
-    assert max(abs(v) for v in others.values()) < 1e-12
+    assert len(recovered) == dictionary_size(3, 5)
+    expected = np.zeros(dictionary_size(3, 5))
+    expected[: len(f.c)] = f.c
+    assert_allclose(recovered, expected, rtol=0, atol=1e-12)
 
 
 def test_parity_filter():
     coeffs = {(0, 0): 1.0, (1, 1): 0.5, (2, 2): 0.25, (3, 3): 0.125}
-    even = parity_filter_coeffs(coeffs, "even")
-    odd = parity_filter_coeffs(coeffs, "odd")
-    assert set(even) == {(0, 0), (2, 2)}
-    assert set(odd) == {(1, 1), (3, 3)}
     f = combine_dictionary(3, coeffs)
-    fe = combine_dictionary(3, even)
-    fo = combine_dictionary(3, odd)
+    fe = parity_project(f, "even")
+    fo = parity_project(f, "odd")
+    assert [tuple(f.labels[d]) for d in np.flatnonzero(fe.c)] == [(0, 0), (2, 2)]
+    assert [tuple(f.labels[d]) for d in np.flatnonzero(fo.c)] == [(1, 1), (3, 3)]
+    assert np.array_equal(fe.c + fo.c, f.c)
     rng = np.random.default_rng(1)
     X = rng.normal(size=(20, 3))
     X /= np.linalg.norm(X, axis=1)[:, None]
@@ -129,10 +129,10 @@ def test_values_match_direct_powers(n, seed):
         exps = _monomial_exponents(n, l)
         c = rng.normal(size=len(exps))
         direct = np.prod(X[:, None, :] ** exps[None, :, :], axis=2) @ c
-        assert_allclose(HomogeneousPolynomial(exps, c).values(X), direct, rtol=1e-12, atol=1e-12)
+        assert_allclose(_monomial_tables(X, [l])[l] @ c, direct, rtol=1e-12, atol=1e-12)
         f = random_degree_piece(rng, n, l)
-        (_, p), = f.pieces
-        direct = np.prod(X[:, None, :] ** p.exponents[None, :, :], axis=2) @ p.coeffs
+        monomials = _harmonic_coefficients(n, l)[1].T @ f.c[dictionary_size(n, l - 1) :]
+        direct = np.prod(X[:, None, :] ** exps[None, :, :], axis=2) @ monomials
         assert_allclose(f.values(X), direct, rtol=1e-12, atol=1e-12)
 
 
@@ -170,25 +170,12 @@ def test_projection_roundtrip_n4(seed):
     rng = np.random.default_rng(seed)
     grid = build_grid(4, 8)
     coeffs = {(e.degree, e.index): rng.normal() for e in harmonic_dictionary(4, 4) if rng.random() < 0.3}
-    recovered = project_to_dictionary(combine_dictionary(4, coeffs).values(grid.nodes), grid, 4)
+    f = combine_dictionary(4, coeffs)
+    recovered = project_to_dictionary(f.values(grid.nodes), grid, 4)
     assert len(recovered) == len(harmonic_dictionary(4, 4))
-    for key, c in recovered.items():
-        assert c == pytest.approx(coeffs.get(key, 0.0), abs=1e-12)
-
-
-@pytest.mark.parametrize("n", [3, 4])
-@seeds
-def test_shuffled_exponent_rows_evaluate_the_same(n, seed):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(5, n))
-    for l in DEGREES:
-        exps = _monomial_exponents(n, l)
-        c = rng.normal(size=len(exps))
-        perm = rng.permutation(len(exps))
-        shuffled = HomogeneousPolynomial(exps[perm], c[perm])
-        canonical = HomogeneousPolynomial(exps, c)
-        assert_allclose(shuffled.coeffs, canonical.coeffs, rtol=0, atol=0)
-        assert_allclose(shuffled.values(X), canonical.values(X), rtol=0, atol=0)
+    expected = np.zeros(len(recovered))
+    expected[: len(f.c)] = f.c
+    assert_allclose(recovered, expected, rtol=0, atol=1e-12)
 
 
 # sha256 of the raw harmonic rows of degrees 2..8, as first computed by an
@@ -256,9 +243,11 @@ def test_label_positions_match_the_dictionary():
     for n in (2, 3, 4):
         entries = harmonic_dictionary(n, 5)
         assert dictionary_size(n, 5) == len(entries)
-        assert [dictionary_index(n, 5, (e.degree, e.index)) for e in entries] == list(range(len(entries)))
+        labels = [(e.degree, e.index) for e in entries]
+        assert dictionary_positions(n, labels, 5).tolist() == list(range(len(entries)))
+        assert HarmonicCombination(n, np.zeros(len(entries))).labels.tolist() == [list(label) for label in labels]
         for label in ((6, 0), (2, harmonic_count(n, 2)), (-1, 0), (1, -1)):
-            with pytest.raises(ValueError, match=f"outside the n = {n} dictionary"):
-                dictionary_index(n, 5, label)
+            with pytest.raises(ValueError, match=f"outside the n = {n} dictionary of degree <= 5"):
+                dictionary_positions(n, [(0, 0), label], 5)
     with pytest.raises(ValueError, match="harmonic label 2,9 is outside the n = 3 dictionary"):
         combine_dictionary(3, {(2, 9): 1.0})

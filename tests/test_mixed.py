@@ -28,10 +28,11 @@ def test_density_ellipsoid_value_at_axis(grid20):
     body = vf.make_ellipsoid(np.diag([4.0, 1.0, 1.0]))
     density = vf.mixed_area_density(body, 2, [], grid20)
     # nearest node to e1 carries det(0.5 Id) = 0.25 up to grid resolution
-    from valforge.sphere import restricted_hessian
+    from valforge.sphere import restricted_hessian_stack, tangent_bases
 
-    form = restricted_hessian(body.support, np.array([1.0, 0.0, 0.0]))
-    assert np.linalg.det(form.matrix) == pytest.approx(0.25, abs=1e-12)
+    x = np.array([[1.0, 0.0, 0.0]])
+    form = restricted_hessian_stack(body.support, x, tangent_bases(x))[0]
+    assert np.linalg.det(form) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_density_argument_symmetry(grid20):

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,6 +275,20 @@ def test_artifact_roundtrip(separable_valuation_k1, combination_k1, grid20):
     # byte-identical re-serialization of all floating fields
     again = json.dumps(vf.combination_to_dict(comb2, v2), sort_keys=True)
     assert again == text
+
+
+def test_artifact_with_exact_zero_entries_still_loads(grid20):
+    # the n = 3, k = 2 separable-kernel artifact of the command-line tests, as
+    # written when every projected label was stored, exact zeros included
+    data = json.loads((Path(__file__).parent / "data" / "separable_k2_artifact.json").read_text())
+    (g,) = [term["g"] for term in data["terms"]]
+    assert sorted(label for label, c in g.items() if c == 0.0) == ["6,4", "8,13", "8,5"]
+    comb, v = vf.combination_from_dict(data, grid20)
+    assert vf.combination_to_dict(comb, v)["terms"][0]["g"] == {label: c for label, c in g.items() if c != 0.0}
+    rng = np.random.default_rng(12)
+    for K in [random_perturbed_ball(rng, grid20) for _ in range(3)]:
+        kernel_value = vf.evaluate_kernel_valuation(v, K, grid20)
+        assert vf.evaluate_combination(comb, K, grid20) == pytest.approx(kernel_value, rel=1e-12)
 
 
 def test_combination_rejects_polytope(combination_k1, grid20):
