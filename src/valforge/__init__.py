@@ -80,10 +80,8 @@ from .sphere import (
     tangent_basis,
 )
 from .synthesis import (
-    ConvexificationFailure,
     FiniteCombination,
     KernelValuation,
-    TermBoundExceeded,
     accumulate_g_alpha,
     combination_from_dict,
     combination_to_dict,

@@ -18,15 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, ConvexityViolation, make_ball, make_perturbed_ball
-from .family import EllipsoidFamily, SpanningFrame
+from .bodies import ConvexBody, body_from_dict, body_to_dict, make_ball, make_perturbed_ball
+from .family import EllipsoidFamily, SpanningFrame, build_family
 from .harmonics import (
     HarmonicCombination,
     dictionary_positions,
     dictionary_values,
     harmonic_dictionary,
-    harmonic_from_json,
-    harmonic_to_json,
     project_to_dictionary,
 )
 from .kernels import TensorDecomposition
@@ -40,10 +38,8 @@ from .sphere import (
 
 __all__ = [
     "CombinationTerm",
-    "ConvexificationFailure",
     "FiniteCombination",
     "KernelValuation",
-    "TermBoundExceeded",
     "accumulate_g_alpha",
     "combination_from_dict",
     "combination_to_dict",
@@ -147,16 +143,14 @@ def parity_project(g: HarmonicCombination, parity: str) -> HarmonicCombination:
     return HarmonicCombination(g.n, np.where(keep, g.c, 0.0))
 
 
-class ConvexificationFailure(RuntimeError):
-    """No radius up to the doubling limit made L+ = g + R certifiably convex."""
+def convexify(g, grid: SphereGrid):
+    """Split g = h_{L+} - h_{L-} into (L+, L-, R), both bodies certified convex.
 
-
-def convexify(g, grid: SphereGrid, threshold: float = 1e-6, max_doublings: int = 10):
-    """Split g = h_{L+} - h_{L-} with both bodies certified convex.
-
-    L- is the centered ball of radius R = max(1, 2 * max_nodes(-lambda_min
-    (D^2 g))_+ + max|g|) and L+ carries the support g + R; if the certificate
-    fails the radius doubles, at most ``max_doublings`` times.
+    L- is the centered ball of radius R = max(1, 2 * neg + max|g|), with
+    neg = max(0, -lambda_min(D^2 g)) over the grid nodes, and L+ the perturbed
+    ball with support R + g.  On those nodes D^2 h_{L+} = D^2 g + R Id has
+    smallest eigenvalue R - neg >= max(neg, 1 - neg) >= 1/2, so L+ passes its
+    certificate by construction.
     """
     if not isinstance(g, HarmonicCombination):
         raise ValueError("convexify needs a dictionary-backed band-limited function")
@@ -166,25 +160,17 @@ def convexify(g, grid: SphereGrid, threshold: float = 1e-6, max_doublings: int =
     neg = max(0.0, float(-np.min(eigs)))
     gmax = float(np.max(np.abs(g.values(grid.nodes))))
     radius = max(1.0, 2.0 * neg + gmax)
-    last_error = None
-    for _ in range(max_doublings + 1):
-        try:
-            l_plus = make_perturbed_ball(radius, g, grid, threshold=threshold)
-            l_minus = make_ball(radius, n=grid.n)
-            return l_plus, l_minus, radius
-        except ConvexityViolation as err:
-            last_error = err
-            radius *= 2.0
-    raise ConvexificationFailure(f"convexification failed up to radius {radius}: {last_error}")
+    return make_perturbed_ball(radius, g, grid), make_ball(radius, n=grid.n), radius
 
 
 @dataclass(frozen=True)
 class CombinationTerm:
+    """V(K[k], L+, E[alpha]) - V(K[k], L-, E[alpha]); the carrier g_alpha is
+    ``l_plus.perturbation`` and the radius ``l_minus.radius``."""
+
     alpha: tuple
-    g: HarmonicCombination
     l_plus: ConvexBody
     l_minus: ConvexBody
-    radius: float
 
 
 @dataclass(frozen=True)
@@ -202,12 +188,14 @@ class FiniteCombination:
         return 2 * len(self.terms)
 
 
-class TermBoundExceeded(RuntimeError):
-    """Synthesis produced more alpha-terms than ``mixed_volume_count_bound`` allows."""
-
-
 def mixed_volume_count_bound(n: int, k: int) -> int:
-    """2 * C(C(n+1, 2) + n - k - 1, n - k - 1), the worst-case term count."""
+    """The paper's N_{n,k} = 2 * C(C(n+1, 2) + n - k - 1, n - k - 1).
+
+    ``synthesize`` makes one alpha-term, two mixed volumes, per multiplicity
+    vector of an (n-k-1)-tuple drawn from the N = C(n+1, 2) + 1 family
+    members, and there are C(N + n - k - 2, n - k - 1) of those: the bound
+    holds by construction, with equality when every alpha is reached.
+    """
     return 2 * math.comb(math.comb(n + 1, 2) + n - k - 1, n - k - 1)
 
 
@@ -223,7 +211,9 @@ def synthesize(
     normalization into the mixed-volume one), projected onto the harmonic
     dictionary of degree kernel max_degree + projection_margin as a smooth
     carrier, parity-projected when the valuation declares a parity, and split
-    into certified bodies.
+    into certified bodies.  Each alpha is an ellipsoid multiset reached by
+    ``accumulate_g_alpha``, so there are at most
+    ``mixed_volume_count_bound(n, k) // 2`` terms.
     """
     grid = frame.grid
     n = v.n
@@ -234,13 +224,8 @@ def synthesize(
         carrier = HarmonicCombination(n, project_to_dictionary(n * buckets[alpha], grid, proj_degree))
         if v.parity is not None:
             carrier = parity_project(carrier, v.parity)
-        l_plus, l_minus, radius = convexify(carrier, grid)
-        terms.append(
-            CombinationTerm(alpha=alpha, g=carrier, l_plus=l_plus, l_minus=l_minus, radius=radius)
-        )
-    bound = mixed_volume_count_bound(n, v.k)
-    if 2 * len(terms) > bound:
-        raise TermBoundExceeded(f"term count {len(terms)} exceeds the combinatorial bound {bound // 2}")
+        l_plus, l_minus, _ = convexify(carrier, grid)
+        terms.append(CombinationTerm(alpha=alpha, l_plus=l_plus, l_minus=l_minus))
     return FiniteCombination(
         n=n, k=v.k, family=family, terms=tuple(terms), kernel_max_degree=v.decomposition.max_degree
     )
@@ -276,9 +261,10 @@ def evaluate_combination(comb: FiniteCombination, K: ConvexBody, grid: SphereGri
 
 
 def combination_to_dict(comb: FiniteCombination, v: KernelValuation | None = None) -> dict:
-    """JSON-ready artifact: family, per-alpha terms, and optionally the kernel."""
-    from .bodies import body_to_dict
+    """JSON-ready artifact: family, per-alpha terms, and optionally the kernel.
 
+    A term is its alpha and its two bodies; the carrier is L+'s ``coeffs``.
+    """
     out = {
         "n": comb.n,
         "k": comb.k,
@@ -291,13 +277,7 @@ def combination_to_dict(comb: FiniteCombination, v: KernelValuation | None = Non
         },
         "mixed_volume_count": comb.mixed_volume_count,
         "terms": [
-            {
-                "alpha": list(term.alpha),
-                "radius": float(term.radius),
-                "g": harmonic_to_json(term.g),
-                "l_plus": body_to_dict(term.l_plus),
-                "l_minus": body_to_dict(term.l_minus),
-            }
+            {"alpha": list(term.alpha), "l_plus": body_to_dict(term.l_plus), "l_minus": body_to_dict(term.l_minus)}
             for term in comb.terms
         ],
     }
@@ -316,10 +296,12 @@ def combination_to_dict(comb: FiniteCombination, v: KernelValuation | None = Non
 
 
 def combination_from_dict(data: dict, grid: SphereGrid):
-    """Rebuild (combination, kernel valuation or None) from an artifact dict."""
-    from .bodies import body_from_dict
-    from .family import build_family
+    """Rebuild (combination, kernel valuation or None) from an artifact dict.
 
+    A term is read from its ``alpha``, ``l_plus`` and ``l_minus``; L+ re-runs
+    its convexity certificate on the grid.  The ``g`` and ``radius`` keys of
+    older artifacts repeat L+'s perturbation and radius and are ignored.
+    """
     n = int(data["n"])
     k = int(data["k"])
     family = build_family(n)
@@ -327,17 +309,14 @@ def combination_from_dict(data: dict, grid: SphereGrid):
     rebuilt = np.asarray([b.matrix for b in family.ellipsoids])
     if stored.shape != rebuilt.shape or not np.allclose(stored, rebuilt, atol=1e-12):
         raise ValueError("artifact family does not match the canonical construction")
-    terms = []
-    for entry in data["terms"]:
-        terms.append(
-            CombinationTerm(
-                alpha=tuple(int(a) for a in entry["alpha"]),
-                g=harmonic_from_json(n, entry["g"]),
-                l_plus=body_from_dict(entry["l_plus"], grid=grid),
-                l_minus=body_from_dict(entry["l_minus"], grid=grid),
-                radius=float(entry["radius"]),
-            )
+    terms = [
+        CombinationTerm(
+            alpha=tuple(int(a) for a in entry["alpha"]),
+            l_plus=body_from_dict(entry["l_plus"], grid=grid),
+            l_minus=body_from_dict(entry["l_minus"], grid=grid),
         )
+        for entry in data["terms"]
+    ]
     comb = FiniteCombination(
         n=n,
         k=k,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import valforge as vf
+from valforge.harmonics import harmonic_count
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +47,7 @@ def random_perturbed_ball(rng, grid, max_degree=4, amplitude=0.05):
     while True:
         coeffs = {}
         for l in range(1, max_degree + 1):
-            for j in range(2 * l + 1):
+            for j in range(harmonic_count(grid.n, l)):
                 if rng.random() < 0.4:
                     coeffs[(l, j)] = amplitude * rng.normal() / (1 + l)
         try:

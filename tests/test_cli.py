@@ -151,6 +151,7 @@ def test_synthesize_and_verify(tmp_path, capsys):
     artifact_path = tmp_path / "run" / "artifact.json"
     artifact = json.loads(artifact_path.read_text())
     assert artifact["mixed_volume_count"] <= 14
+    assert all(set(term) == {"alpha", "l_plus", "l_minus"} for term in artifact["terms"])
     rows = (tmp_path / "run" / "verification.csv").read_text().strip().splitlines()
     assert len(rows) == 4  # header + 3 bodies
     worst = max(float(r.split(",")[-1]) for r in rows[1:])
@@ -257,35 +258,6 @@ def test_counterexample_bad_sweep(tmp_path, capsys):
     assert not (tmp_path / "divergence.csv").exists()
 
 
-def test_synthesize_convexification_failure_exits_1(tmp_path, capsys, monkeypatch, grid20):
-    def never_convex(*args, **kwargs):
-        raise vf.ConvexityViolation(np.array([0.0, 0.0, 1.0]), -1.0)
-
-    monkeypatch.setattr("valforge.synthesis.make_perturbed_ball", never_convex)
-    with pytest.raises(vf.ConvexificationFailure) as info:
-        vf.convexify(vf.combine_dictionary(3, {}), grid20)
-    assert isinstance(info.value, RuntimeError)
-    cfg = tmp_path / "synth.json"
-    cfg.write_text(json.dumps(synth_config(tmp_path)))
-    code, _, err = run(capsys, "synthesize", "--config", str(cfg))
-    assert code == 1
-    assert "mathematical check failed: convexification failed" in err
-
-
-def test_synthesize_term_bound_exits_1(tmp_path, capsys, monkeypatch, family3, frame3):
-    monkeypatch.setattr("valforge.synthesis.mixed_volume_count_bound", lambda n, k: 0)
-    kernel = vf.harmonic_table_kernel(3, [(1.0, [(0, 0), (0, 0)])])
-    v = vf.KernelValuation(n=3, k=1, decomposition=vf.decompose_kernel(kernel, 2, 2))
-    with pytest.raises(vf.TermBoundExceeded) as info:
-        vf.synthesize(v, family3, frame3)
-    assert isinstance(info.value, RuntimeError)
-    cfg = tmp_path / "synth.json"
-    cfg.write_text(json.dumps(synth_config(tmp_path)))
-    code, _, err = run(capsys, "synthesize", "--config", str(cfg))
-    assert code == 1
-    assert "mathematical check failed: term count" in err
-
-
 def test_commands_deterministic(tmp_path, capsys):
     outputs = []
     for run_dir in ("a", "b"):
@@ -296,8 +268,15 @@ def test_commands_deterministic(tmp_path, capsys):
             capsys, "counterexample", "--eps-sweep", "1e-2:1e-3:3", "--out", str(out)
         )
         assert code == 0
+        cfg = tmp_path / f"synth-{run_dir}.json"
+        cfg.write_text(json.dumps(synth_config(out, k=2)))
+        code, _, _ = run(capsys, "synthesize", "--config", str(cfg))
+        assert code == 0
         outputs.append(
-            (out / "spanning_check.json").read_text() + (out / "divergence.csv").read_text()
+            [
+                (out / name).read_bytes()
+                for name in ("spanning_check.json", "divergence.csv", "run/artifact.json", "run/verification.csv")
+            ]
         )
     assert outputs[0] == outputs[1]
 
@@ -420,15 +399,11 @@ def _with(data, *path, value):
             "input error: artifact: harmonic label 5,0 is outside the n = 3 dictionary of degree <= 4",
         ),
         (
-            lambda a: _with(a, "terms", 0, "g", "2,9", value=0.01),
-            "input error: artifact: harmonic label 2,9 is outside",
-        ),
-        (
             lambda a: _with(a, "terms", 0, "l_plus", "coeffs", "3,7", value=0.01),
             "input error: artifact: harmonic label 3,7 is outside",
         ),
     ],
-    ids=["no-family", "no-terms", "no-labels", "old-kernel-block", "label-above-degree", "g-label", "l-plus-label"],
+    ids=["no-family", "no-terms", "no-labels", "old-kernel-block", "label-above-degree", "l-plus-label"],
 )
 def test_verify_bad_artifact(tmp_path, capsys, k2_artifact, edit, message):
     artifact = tmp_path / "artifact.json"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import valforge as vf
-from valforge.sphere import restricted_hessian_stack
+from valforge.sphere import restricted_hessian_stack, tangent_bases
 from conftest import random_perturbed_ball, random_unit
 
 
@@ -159,8 +160,31 @@ def test_convexify_even_input_gives_symmetric_body(grid20):
     assert np.max(np.abs(vals_plus - vals_minus)) < 1e-10
 
 
+def test_convexify_certificate_holds_by_construction(grid20):
+    # lambda_min(D^2 h_{L+}) = R + lambda_min(D^2 g) = R - neg >= max(neg, 1 - neg) >= 1/2
+    rng = np.random.default_rng(5)
+    bases = tangent_bases(grid20.nodes)
+    for amplitude in np.geomspace(1e-3, 30.0, 12):
+        coeffs = {(l, j): amplitude * rng.normal() / (1 + l) for l in range(1, 5) for j in range(2 * l + 1)}
+        g = vf.combine_dictionary(3, coeffs)
+        l_plus, _, radius = vf.convexify(g, grid20)
+        lam_g = float(np.min(np.linalg.eigvalsh(restricted_hessian_stack(g, grid20.nodes, bases))[:, 0]))
+        certificate = vf.convexity_certificate(l_plus, grid20)
+        assert certificate >= 0.5
+        assert abs(certificate - (radius + lam_g)) <= 1e-12 * radius
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_alpha_count_is_the_bound(n):
+    # synthesize makes one term per multiplicity vector of an (n-k-1)-tuple of family members
+    N = vf.build_family(n).size
+    for k in range(1, n):
+        alphas = {tuple(t.count(s) for s in range(N)) for t in itertools.product(range(N), repeat=n - k - 1)}
+        assert len(alphas) == vf.mixed_volume_count_bound(n, k) // 2
+
+
 def test_synthesize_term_counts(separable_valuation_k1, combination_k1, family3, frame3, grid20):
-    assert len(combination_k1.terms) <= 7
+    assert len(combination_k1.terms) == vf.mixed_volume_count_bound(3, 1) // 2 == 7
     assert combination_k1.mixed_volume_count <= vf.mixed_volume_count_bound(3, 1) == 14
 
     p = vf.make_perturbed_ball(1.0, {(2, 2): 0.07}, grid20)
@@ -284,7 +308,8 @@ def test_artifact_with_exact_zero_entries_still_loads(grid20):
     (g,) = [term["g"] for term in data["terms"]]
     assert sorted(label for label, c in g.items() if c == 0.0) == ["6,4", "8,13", "8,5"]
     comb, v = vf.combination_from_dict(data, grid20)
-    assert vf.combination_to_dict(comb, v)["terms"][0]["g"] == {label: c for label, c in g.items() if c != 0.0}
+    (term,) = vf.combination_to_dict(comb, v)["terms"]
+    assert term["l_plus"]["coeffs"] == {label: c for label, c in g.items() if c != 0.0}
     rng = np.random.default_rng(12)
     for K in [random_perturbed_ball(rng, grid20) for _ in range(3)]:
         kernel_value = vf.evaluate_kernel_valuation(v, K, grid20)
