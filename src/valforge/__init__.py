@@ -63,7 +63,6 @@ from .kernels import (
     separable_kernel,
 )
 from .mixed import (
-    MixedAreaDensity,
     mixed_area_density,
     mixed_volume_quadrature,
     mixed_volume_smooth,

@@ -19,8 +19,8 @@ from .sphere import (
     LinearFunction,
     SphericalFunction,
     SumFunction,
-    restricted_hessian_stack,
-    tangent_bases,
+    build_grid,
+    min_hessian_eigenvalue,
 )
 
 __all__ = [
@@ -118,54 +118,55 @@ class ConvexBody:
         return self.support.hessians(X)
 
 
-def make_ellipsoid(A, center=None) -> ConvexBody:
+def _require_finite(name: str, values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+
+
+def make_ellipsoid(A) -> ConvexBody:
     """Ellipsoid {y : <y, A^{-1} y> <= 1}-style body with h(x) = sqrt(<x, A x>).
 
-    A must be symmetric (within 1e-12) and positive definite.
+    A must be finite, symmetric (within 1e-12) and positive definite.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"ellipsoid matrix must be square, got shape {A.shape}")
+    _require_finite("ellipsoid matrix", A)
     if np.max(np.abs(A - A.T)) > 1e-12:
         raise ValueError("ellipsoid matrix must be symmetric within 1e-12")
     A = 0.5 * (A + A.T)
     if np.min(np.linalg.eigvalsh(A)) <= 0.0:
         raise ValueError("ellipsoid matrix must be positive definite")
-    support: SphericalFunction = EllipsoidSupport(A)
-    c = None
-    if center is not None:
-        c = np.asarray(center, dtype=float)
-        support = SumFunction([(1.0, support), (1.0, LinearFunction(c))])
-    return ConvexBody(kind="ellipsoid", n=A.shape[0], support=support, smooth=True, matrix=A, center=c)
+    return ConvexBody(kind="ellipsoid", n=A.shape[0], support=EllipsoidSupport(A), smooth=True, matrix=A)
 
 
 def make_ball(radius: float, n: int = 3) -> ConvexBody:
-    if radius <= 0:
-        raise ValueError("ball radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"ball radius must be positive and finite, got {radius}")
     return ConvexBody(kind="ball", n=n, support=ConstantFunction(radius), smooth=True, radius=float(radius))
 
 
-def make_perturbed_ball(radius: float, g, grid, threshold: float = 1e-6) -> ConvexBody:
+# smallest support-Hessian eigenvalue a perturbed ball must keep at every grid node
+_CERTIFICATE_THRESHOLD = 1e-6
+
+
+def make_perturbed_ball(radius: float, g, grid) -> ConvexBody:
     """Body with h = radius + g for a harmonic-dictionary perturbation g.
 
     ``g`` is a HarmonicCombination, kept as the body's ``perturbation``, or a
     {(l, j): c} label dict.  The support Hessian is swept over the grid
     nodes; construction fails with ConvexityViolation unless its smallest
-    eigenvalue stays >= threshold.
+    eigenvalue is >= 1e-6 (a NaN eigenvalue fails too).
     """
-    if radius <= 0:
-        raise ValueError("perturbed ball radius must be positive")
-    body = _perturbed_ball(radius, g, grid.n)
-    min_eig, node = _certificate_sweep(body, grid)
-    if min_eig < threshold:
-        raise ConvexityViolation(node, min_eig)
-    return body
-
-
-def _perturbed_ball(radius: float, g, n: int) -> ConvexBody:
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"perturbed ball radius must be positive and finite, got {radius}")
+    n = grid.n
     if not isinstance(g, HarmonicCombination):
         g = combine_dictionary(n, g)
     support = SumFunction([(1.0, ConstantFunction(radius)), (1.0, g)])
+    min_eig, node = min_hessian_eigenvalue(support, grid)
+    if not min_eig >= _CERTIFICATE_THRESHOLD:
+        raise ConvexityViolation(node, min_eig)
     return ConvexBody(kind="perturbed_ball", n=n, support=support, smooth=True, radius=float(radius), perturbation=g)
 
 
@@ -174,6 +175,7 @@ def make_polytope(vertices) -> ConvexBody:
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     if V.size == 0:
         raise ValueError("polytope needs at least one vertex")
+    _require_finite("polytope vertices", V)
     n = V.shape[1]
     centered = V - V.mean(axis=0)
     rank = np.linalg.matrix_rank(centered, tol=1e-10) if len(V) > 1 else 0
@@ -212,18 +214,11 @@ def minkowski_support(bodies, lambdas) -> ConvexBody:
 def translate(body: ConvexBody, v) -> ConvexBody:
     """Translate a body by v; adds <x, v> to the support function."""
     v = np.asarray(v, dtype=float)
+    _require_finite("translation vector", v)
     support = SumFunction([(1.0, body.support), (1.0, LinearFunction(v))])
     vertices = body.vertices + v[None, :] if body.vertices is not None else None
     center = v if body.center is None else body.center + v
     return replace(body, support=support, vertices=vertices, center=center)
-
-
-def _certificate_sweep(body: ConvexBody, grid):
-    bases = tangent_bases(grid.nodes)
-    forms = restricted_hessian_stack(body.support, grid.nodes, bases)
-    eigs = np.linalg.eigvalsh(forms)[:, 0]
-    imin = int(np.argmin(eigs))
-    return float(eigs[imin]), grid.nodes[imin]
 
 
 def convexity_certificate(body: ConvexBody, grid) -> float:
@@ -234,8 +229,7 @@ def convexity_certificate(body: ConvexBody, grid) -> float:
     """
     if not body.smooth:
         raise NotSmoothError("convexity certificate requires a smooth-kind body")
-    min_eig, _ = _certificate_sweep(body, grid)
-    return min_eig
+    return min_hessian_eigenvalue(body.support, grid)[0]
 
 
 # -- polytope approximations of round bodies ---------------------------------
@@ -312,24 +306,22 @@ def mean_support_integral(vertices) -> float:
     return 0.5 * float(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1) @ theta)
 
 
-def ball_approx(level: int, calibrate: bool = True) -> ConvexBody:
+def ball_approx(level: int) -> ConvexBody:
     """Polytope approximation of the unit ball in R^3 (subdivided icosahedron).
 
-    With ``calibrate`` the vertices are scaled so the support-function deficit
-    is mean-zero over the sphere: mixed volumes against independent bodies
-    then lose their first-order approximation bias (an inscribed polytope's
-    deficit is one-signed and shows up in every mixed functional).
+    The vertices are scaled so the support-function deficit is mean-zero over
+    the sphere: mixed volumes against independent bodies then lose their
+    first-order approximation bias (an inscribed polytope's deficit is
+    one-signed and shows up in every mixed functional).
     """
     verts = _icosphere(level)
-    if calibrate:
-        verts = verts * (4.0 * np.pi / mean_support_integral(verts))
-    return make_polytope(verts)
+    return make_polytope(verts * (4.0 * np.pi / mean_support_integral(verts)))
 
 
 _ellipsoid_mw_grid = {}
 
 
-def ellipsoid_approx(A, level: int, rotation=None, calibrate: bool = True) -> ConvexBody:
+def ellipsoid_approx(A, level: int, rotation=None) -> ConvexBody:
     """Polytope approximation of the ellipsoid with h = sqrt(<x, A x>).
 
     The ellipsoid is the image of the unit ball under A^{1/2}; the image of a
@@ -346,15 +338,11 @@ def ellipsoid_approx(A, level: int, rotation=None, calibrate: bool = True) -> Co
     if rotation is not None:
         ball = ball @ np.asarray(rotation, dtype=float).T
     verts = ball @ root.T
-    if calibrate:
-        from .sphere import build_grid
-
-        if 3 not in _ellipsoid_mw_grid:
-            _ellipsoid_mw_grid[3] = build_grid(3, 50)
-        grid = _ellipsoid_mw_grid[3]
-        target = grid.integrate(EllipsoidSupport(A).values(grid.nodes))
-        verts = verts * (target / mean_support_integral(verts))
-    return make_polytope(verts)
+    if 3 not in _ellipsoid_mw_grid:
+        _ellipsoid_mw_grid[3] = build_grid(3, 50)
+    grid = _ellipsoid_mw_grid[3]
+    target = grid.integrate(EllipsoidSupport(A).values(grid.nodes))
+    return make_polytope(verts * (target / mean_support_integral(verts)))
 
 
 # -- JSON round trip ----------------------------------------------------------
@@ -381,14 +369,9 @@ def body_to_dict(body: ConvexBody) -> dict:
     return out
 
 
-def body_from_dict(data: dict, grid=None, n: int = 3) -> ConvexBody:
-    """Inverse of body_to_dict.
-
-    Perturbed balls re-run their convexity certificate when a grid is given,
-    and are otherwise reconstructed as stored.
-    """
-    if grid is not None:
-        n = grid.n
+def body_from_dict(data: dict, grid) -> ConvexBody:
+    """Inverse of body_to_dict; perturbed balls re-run their convexity certificate on ``grid``."""
+    n = grid.n
     kind = data["kind"]
     if kind == "ellipsoid":
         body = make_ellipsoid(np.asarray(data["matrix"], dtype=float))
@@ -397,9 +380,7 @@ def body_from_dict(data: dict, grid=None, n: int = 3) -> ConvexBody:
     elif kind == "polytope":
         body = make_polytope(np.asarray(data["vertices"], dtype=float))
     elif kind == "perturbed_ball":
-        g = harmonic_from_json(n, data.get("coeffs", {}))
-        radius = float(data["radius"])
-        body = make_perturbed_ball(radius, g, grid) if grid is not None else _perturbed_ball(radius, g, n)
+        body = make_perturbed_ball(float(data["radius"]), harmonic_from_json(n, data.get("coeffs", {})), grid)
     else:
         raise ValueError(f"unknown body kind {kind!r}")
     if "center" in data:

@@ -315,7 +315,7 @@ def _round_trip(valuation, comb, bodies, grid, out: Path):
         kernel_value = evaluate_kernel_valuation(valuation, K, grid)
         comb_value = evaluate_combination(comb, K, grid)
         rel = abs(kernel_value - comb_value) / max(abs(kernel_value), 1e-12)
-        worst = max(worst, rel)
+        worst = max(worst, rel if math.isfinite(rel) else math.inf)
         rows.append((name, kernel_value, comb_value, rel))
     _write_csv(out / "verification.csv", ("body-id", "kernel value", "combination value", "relative error"), rows)
     return rows, worst

@@ -168,8 +168,7 @@ def counterexample_valuation(K: ConvexBody, k: int, n: int, grid: SphereGrid) ->
     """mu_k(K): quadrature of f(x_n) against the density of S(K[k], B[n-k-1])."""
     density_fn = CounterexampleDensity(n)
     balls = [make_ball(1.0, n=n)] * (n - 1 - k)
-    density = mixed_area_density(K, k, balls, grid)
-    return grid.integrate(density_fn(grid.nodes[:, -1]) * density.values)
+    return grid.integrate(density_fn(grid.nodes[:, -1]) * mixed_area_density(K, k, balls, grid))
 
 
 def _piecewise_quad(fn, knots):
@@ -340,16 +339,20 @@ class DerivativeReduction:
     relative_error: float
 
 
-def derivative_reduction(
-    K: ConvexBody, k: int, n: int, grid: SphereGrid, step: float = 1e-2, rtol: float = 1e-4
-) -> DerivativeReduction:
+# stencil spacing h of derivative_reduction, and the relative error it accepts
+_STENCIL_STEP = 1e-2
+_REDUCTION_RTOL = 1e-4
+
+
+def derivative_reduction(K: ConvexBody, k: int, n: int, grid: SphereGrid) -> DerivativeReduction:
     """(k-1)-th derivative at 0 of t -> mu_k(K + t B), checked against k! mu_1(K).
 
     mu_k(K + t B) is exactly polynomial of degree k in t; the stencil
-    {0, h, ..., k h} interpolates it and one extra node reports the fit
-    residual.  The derivative equals (k-1)! times the t^{k-1} coefficient,
-    and expanding the mixed area measure multilinearly gives the identity
-    d^{k-1}/dt^{k-1}|_0 mu_k(K + tB) = k! mu_1(K).
+    {0, h, ..., k h} with h = 1e-2 interpolates it and one extra node reports
+    the fit residual.  The derivative equals (k-1)! times the t^{k-1}
+    coefficient, and expanding the mixed area measure multilinearly gives the
+    identity d^{k-1}/dt^{k-1}|_0 mu_k(K + tB) = k! mu_1(K); a relative error
+    above 1e-4 raises ValueError.
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}")
@@ -359,7 +362,7 @@ def derivative_reduction(
         body = minkowski_support([K, ball], [1.0, t]) if t > 0 else K
         return counterexample_valuation(body, k, n, grid)
 
-    ts = step * np.arange(k + 2)
+    ts = _STENCIL_STEP * np.arange(k + 2)
     vals = np.array([mu_k_at(t) for t in ts])
     coeffs = np.polynomial.polynomial.polyfit(ts[: k + 1], vals[: k + 1], k)
     check = np.polynomial.polynomial.polyval(ts[-1], coeffs)
@@ -369,7 +372,7 @@ def derivative_reduction(
     mu_1 = counterexample_valuation(K, 1, n, grid)
     expected = math.factorial(k) * mu_1
     rel = abs(derivative - expected) / max(abs(expected), 1e-12)
-    if rel > rtol:
+    if rel > _REDUCTION_RTOL:
         raise ValueError(
             f"derivative reduction mismatch: derivative {derivative:.8e} vs "
             f"k! mu_1 = {expected:.8e} (relative error {rel:.3e})"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import make_ellipsoid
-from .sphere import SphereGrid, restricted_hessian_stack, tangent_bases, tangent_basis
+from .sphere import SphereGrid, restricted_hessian_stack
 
 __all__ = [
     "EllipsoidFamily",
@@ -162,17 +162,13 @@ def sym_unvec(vecs: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _frame_matrices(family: EllipsoidFamily, nodes: np.ndarray, bases: np.ndarray) -> np.ndarray:
+def _frame_matrices(family: EllipsoidFamily, nodes: np.ndarray) -> np.ndarray:
     """Stack of per-node frame matrices, shape (g, D, N) with D = dim Sym^2(tangent)."""
-    columns = []
-    for body in family.ellipsoids:
-        forms = restricted_hessian_stack(body.support, nodes, bases)
-        columns.append(sym_vec(forms))
-    return np.stack(columns, axis=-1)
+    return np.stack([sym_vec(restricted_hessian_stack(body.support, nodes)) for body in family.ellipsoids], axis=-1)
 
 
 def _frame_svd(family: EllipsoidFamily, grid: SphereGrid):
-    """Tangent bases, frame matrices S (g, D, N) and their thin SVD (u, s, vt).
+    """Frame matrices S (g, D, N) and their thin SVD (u, s, vt).
 
     Raises SpanningFailure when any node's smallest singular value drops to
     1e-10 or below, which would contradict the spanning construction and
@@ -180,15 +176,14 @@ def _frame_svd(family: EllipsoidFamily, grid: SphereGrid):
     """
     if family.n != grid.n:
         raise ValueError("family and grid dimensions differ")
-    bases = tangent_bases(grid.nodes)
-    S = _frame_matrices(family, grid.nodes, bases)
+    S = _frame_matrices(family, grid.nodes)
     u, s, vt = np.linalg.svd(S, full_matrices=False)
     imin = int(np.argmin(s[:, -1]))
     if s[imin, -1] <= 1e-10:
         raise SpanningFailure(
             f"frame matrix smallest singular value {s[imin, -1]:.3e} at node {grid.nodes[imin]}"
         )
-    return bases, S, (u, s, vt)
+    return S, (u, s, vt)
 
 
 def spanning_certificate(family: EllipsoidFamily, grid: SphereGrid):
@@ -196,7 +191,7 @@ def spanning_certificate(family: EllipsoidFamily, grid: SphereGrid):
 
     Returns (min_sigma, argmin_node); raises SpanningFailure as ``_frame_svd``.
     """
-    _, _, (_, s, _) = _frame_svd(family, grid)
+    _, (_, s, _) = _frame_svd(family, grid)
     imin = int(np.argmin(s[:, -1]))
     return float(s[imin, -1]), grid.nodes[imin]
 
@@ -206,13 +201,13 @@ class SpanningFrame:
     """Per-node minimum-norm coefficient operators for the spanning family.
 
     ``solvers[g]`` is the pseudoinverse of the node-g frame matrix: applied to
-    a vectorized tangent form it yields family coefficients whose Hessian
-    combination reconstructs the form.
+    a vectorized tangent form, written in the grid's ``tangent_bases`` frame
+    as ``restricted_hessian_stack`` writes it, it yields family coefficients
+    whose Hessian combination reconstructs the form.
     """
 
     family: EllipsoidFamily
     grid: SphereGrid
-    bases: np.ndarray
     matrices: np.ndarray
     solvers: np.ndarray
     sigmas: np.ndarray
@@ -231,9 +226,7 @@ class SpanningFrame:
 
     def coefficients_at(self, x, form: np.ndarray) -> np.ndarray:
         """Minimum-norm coefficients for one tangent form at an arbitrary unit x."""
-        x = np.asarray(x, dtype=float)
-        basis = tangent_basis(x)
-        S = _frame_matrices(self.family, x[None], basis[None])[0]
+        S = _frame_matrices(self.family, np.asarray(x, dtype=float)[None])[0]
         return np.linalg.pinv(S) @ sym_vec(np.asarray(form, dtype=float))
 
 
@@ -243,8 +236,6 @@ def dual_frame(family: EllipsoidFamily, grid: SphereGrid) -> SpanningFrame:
     The solvers are vt^T diag(1/s) u^T from one SVD: numpy's pinv with no
     singular value cut, since ``_frame_svd`` rejects any sigma <= 1e-10.
     """
-    bases, S, (u, s, vt) = _frame_svd(family, grid)
+    S, (u, s, vt) = _frame_svd(family, grid)
     solvers = np.swapaxes(vt, -1, -2) @ ((1.0 / s)[..., None] * np.swapaxes(u, -1, -2))
-    return SpanningFrame(
-        family=family, grid=grid, bases=bases, matrices=S, solvers=solvers, sigmas=s[:, -1]
-    )
+    return SpanningFrame(family=family, grid=grid, matrices=S, solvers=solvers, sigmas=s[:, -1])

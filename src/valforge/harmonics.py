@@ -316,12 +316,15 @@ def harmonic_dictionary(n: int, max_degree: int):
 def combine_dictionary(n: int, coeffs: dict) -> HarmonicCombination:
     """sum_{(l,j)} c_{lj} * phi_{lj} from labelled coefficients, as a vector in dictionary order.
 
-    Raises ValueError for a label outside the dictionary.
+    Raises ValueError for a label outside the dictionary or a non-finite coefficient.
     """
     labels = [(int(l), int(j)) for l, j in coeffs]
     positions = dictionary_positions(n, labels)
+    values = [float(v) for v in coeffs.values()]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("harmonic coefficients must be finite")
     c = np.zeros(dictionary_size(n, max((l for l, _ in labels), default=-1)))
-    c[positions] = [float(v) for v in coeffs.values()]
+    c[positions] = values
     return HarmonicCombination(n, c)
 
 

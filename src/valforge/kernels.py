@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .harmonics import HarmonicCombination, combine_dictionary, dictionary_values, harmonic_dictionary
-from .sphere import SphereGrid, build_grid, restricted_hessian_stack, tangent_bases
+from .sphere import SphereGrid, build_grid, restricted_hessian_stack
 
 __all__ = [
     "RankOneSumKernel",
@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 _MAX_PRODUCT_EVALS = 200_000_000
+# coefficients at or below this magnitude are dropped; the reconstruction
+# check allows a sup-norm residual of 10 times it
+_DROP_TOL = 1e-10
 
 
 class ReconstructionFailure(RuntimeError):
@@ -129,16 +132,16 @@ def harmonic_table_kernel(n: int, entries) -> RankOneSumKernel:
 
 
 def decompose_kernel(
-    F, factors: int, max_degree: int, n: int = 3, grid: SphereGrid | None = None, tol: float = 1e-10
+    F, factors: int, max_degree: int, n: int = 3, grid: SphereGrid | None = None
 ) -> TensorDecomposition:
     """Expand a kernel on (S^{n-1})^factors into separable dictionary terms.
 
     Coefficients come from quadrature on ``grid`` (exact for kernels
     band-limited within ``max_degree``): per factor for a RankOneSumKernel,
-    on the product grid for any other callable.  Terms below ``tol`` in
-    magnitude are dropped and the rest are sorted by decreasing magnitude.
+    on the product grid for any other callable.  Terms of magnitude 1e-10 or
+    less are dropped and the rest are sorted by decreasing magnitude.
     Raises ReconstructionFailure when the sup-norm residual on a test
-    subgrid exceeds 10 * tol.
+    subgrid exceeds 1e-9.
     """
     if factors < 1:
         raise ValueError("need at least one kernel factor")
@@ -167,7 +170,7 @@ def decompose_kernel(
 
     flat = coeff.ravel()
     order = np.argsort(-np.abs(flat), kind="stable")
-    keep = order[np.abs(flat[order]) > tol]
+    keep = order[np.abs(flat[order]) > _DROP_TOL]
     decomp = TensorDecomposition(
         n=n,
         factors=factors,
@@ -178,9 +181,9 @@ def decompose_kernel(
         dropped_mass=float(np.sum(np.abs(flat))) - float(np.sum(np.abs(flat[keep]))),
     )
     residual = _sup_residual(F, decomp, grid)
-    if residual > 10.0 * tol:
+    if residual > 10.0 * _DROP_TOL:
         raise ReconstructionFailure(
-            f"sup-norm residual {residual:.3e} exceeds 10*tol={10 * tol:.1e}; "
+            f"sup-norm residual {residual:.3e} exceeds {10 * _DROP_TOL:.1e}; "
             "kernel is not band-limited within the dictionary degree"
         )
     return replace(decomp, residual=residual)
@@ -223,17 +226,16 @@ def _norm_grid(n: int) -> SphereGrid:
     return _norm_grid_cache[n]
 
 
-def c_norm(f, order: int, grid: SphereGrid | None = None) -> float:
+def c_norm(f, order: int) -> float:
     """Grid estimate of the C^order norm (order <= 2) of a spherical function.
 
-    Maxima over the nodes of |f|, the intrinsic gradient norm, and the
-    operator norm of the intrinsic Hessian (D^2 f - f Id on the tangent
-    space), accumulated up to the requested order.
+    Maxima over the nodes of the degree-40 grid of |f|, the intrinsic
+    gradient norm, and the operator norm of the intrinsic Hessian (D^2 f - f Id
+    on the tangent space), accumulated up to the requested order.
     """
     if order not in (0, 1, 2):
         raise ValueError("C^l norms are estimated for l in {0, 1, 2}")
-    if grid is None:
-        grid = _norm_grid(f.n if isinstance(f, HarmonicCombination) else 3)
+    grid = _norm_grid(f.n if isinstance(f, HarmonicCombination) else 3)
     vals = f.values(grid.nodes)
     best = float(np.max(np.abs(vals)))
     if order >= 1:
@@ -243,14 +245,13 @@ def c_norm(f, order: int, grid: SphereGrid | None = None) -> float:
             raise ValueError("C^1/C^2 norm estimates need harmonic-combination functions")
         best = max(best, float(np.max(np.linalg.norm(grads, axis=1))))
     if order >= 2:
-        bases = tangent_bases(grid.nodes)
-        forms = restricted_hessian_stack(f, grid.nodes, bases)
+        forms = restricted_hessian_stack(f, grid.nodes)
         forms -= vals[:, None, None] * np.eye(grid.n - 1)[None, :, :]
         best = max(best, float(np.max(np.abs(np.linalg.eigvalsh(forms)))))
     return best
 
 
-def norm_bound_report(decomp: TensorDecomposition, l, grid: SphereGrid | None = None) -> dict:
+def norm_bound_report(decomp: TensorDecomposition, l) -> dict:
     """Cumulative sums of |c_j| prod_i ||phi_{t_ji}||_{C^{l_i}} across the expansion terms.
 
     Each distinct (label, order) norm is estimated once.  Returns the
@@ -264,7 +265,7 @@ def norm_bound_report(decomp: TensorDecomposition, l, grid: SphereGrid | None = 
     entries = harmonic_dictionary(decomp.n, decomp.max_degree)
     rows = decomp.terms.tolist()
     keys = {key for row in rows for key in zip(row, l)}
-    norms = {key: c_norm(entries[key[0]], key[1], grid=grid) for key in keys}
+    norms = {key: c_norm(entries[key[0]], key[1]) for key in keys}
     products = [abs(c) * math.prod(norms[key] for key in zip(row, l)) for row, c in zip(rows, decomp.coefficients)]
     partial = np.cumsum(products) if products else np.zeros(0)
     total = float(partial[-1]) if len(partial) else 0.0

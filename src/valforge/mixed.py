@@ -2,9 +2,12 @@
 
 Two independent mixed-volume backends serve as mutual oracles:
 
-* a quadrature route for smooth bodies, integrating the mixed discriminant of
-  support Hessians against the sphere grid (a polytope is allowed only in the
-  plain support-function slot);
+* a quadrature route for smooth bodies, V(L, K[k], L_2, ...) =
+  (1/n) integral h_L * D(D^2 h_K [k], D^2 h_{L_2}, ...): ``mixed_area_density``
+  returns the mixed discriminant at the grid nodes as a plain array, and
+  ``mixed_volume_smooth`` integrates a support function against it.  Every
+  smooth mixed volume and Steiner coefficient goes through that one routine
+  (a polytope is allowed only in the plain support-function slot);
 * a polarization route for polytopes, the inclusion-exclusion sum of the
   2^n - 1 volumes of Minkowski sums of nonempty subsets of the bodies.
 
@@ -18,23 +21,15 @@ the arc midpoints followed by the exact angular reach test on those pairs.
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 from scipy.special import comb
 
-from .bodies import ConvexBody, NotSmoothError, hull_edges, mean_support_integral
-from .sphere import (
-    SphereGrid,
-    ball_volume,
-    mixed_discriminant_stack,
-    restricted_hessian_stack,
-    tangent_bases,
-)
+from .bodies import ConvexBody, NotSmoothError, hull_edges, make_ball, mean_support_integral
+from .sphere import SphereGrid, ball_volume, mixed_discriminant_stack, restricted_hessian_stack
 
 __all__ = [
-    "MixedAreaDensity",
     "mixed_area_density",
     "mixed_volume_quadrature",
     "mixed_volume_smooth",
@@ -49,25 +44,8 @@ __all__ = [
 _HULL_POINT_LIMIT = 200_000
 
 
-@dataclass(frozen=True)
-class MixedAreaDensity:
-    """Node values of a mixed area-measure density on a sphere grid."""
-
-    grid: SphereGrid
-    values: np.ndarray
-    k: int
-    signature: tuple
-
-    def total_mass(self) -> float:
-        return self.grid.integrate(self.values)
-
-
-def _hessian_stacks(bodies, grid, bases):
-    return [restricted_hessian_stack(b.support, grid.nodes, bases) for b in bodies]
-
-
-def mixed_area_density(K: ConvexBody, k: int, others, grid: SphereGrid) -> MixedAreaDensity:
-    """Density of the mixed area measure with K in k slots and ``others`` in the rest.
+def mixed_area_density(K: ConvexBody, k: int, others, grid: SphereGrid) -> np.ndarray:
+    """Node values (G,) of the mixed area-measure density with K in k slots and ``others`` in the rest.
 
     Node-wise mixed discriminant of (D^2 h_K taken k times, D^2 h_{L_2}, ...).
     All Hessian-slot bodies must be smooth; polytopes are rejected.
@@ -81,42 +59,31 @@ def mixed_area_density(K: ConvexBody, k: int, others, grid: SphereGrid) -> Mixed
     for b in [K, *others]:
         if not b.smooth:
             raise NotSmoothError("mixed area densities need smooth bodies in Hessian slots")
-    bases = tangent_bases(grid.nodes)
-    k_stack = restricted_hessian_stack(K.support, grid.nodes, bases)
-    stacks = [k_stack] * k + _hessian_stacks(others, grid, bases)
-    values = mixed_discriminant_stack(stacks)
-    signature = (K.kind, k) + tuple(b.kind for b in others)
-    return MixedAreaDensity(grid=grid, values=values, k=k, signature=signature)
+    k_stack = restricted_hessian_stack(K.support, grid.nodes)
+    return mixed_discriminant_stack([k_stack] * k + [restricted_hessian_stack(b.support, grid.nodes) for b in others])
 
 
 def mixed_volume_smooth(
-    L1: ConvexBody, K: ConvexBody, k: int, others, grid: SphereGrid, density: MixedAreaDensity | None = None
+    L1: ConvexBody, K: ConvexBody, k: int, others, grid: SphereGrid, density: np.ndarray | None = None
 ) -> float:
     """V(K[k], L1, L2, ..., L_{n-k}) by quadrature against the mixed area density.
 
     Only the support values of L1 are integrated, so L1 may be a polytope;
-    the density slots follow the mixed_area_density requirements.
+    the density slots follow the mixed_area_density requirements.  A
+    ``density`` already computed for (K, k, others) on this grid is reused.
     """
     if density is None:
         density = mixed_area_density(K, k, others, grid)
     hvals = L1.support_values(grid.nodes)
-    return grid.integrate(hvals * density.values) / grid.n
+    return grid.integrate(hvals * density) / grid.n
 
 
 def mixed_volume_quadrature(bodies, grid: SphereGrid) -> float:
     """V(B_1, ..., B_n) with B_1 in the support slot and B_2..B_n in Hessian slots."""
     bodies = list(bodies)
-    n = grid.n
-    if len(bodies) != n:
-        raise ValueError(f"need exactly n={n} bodies, got {len(bodies)}")
-    for b in bodies[1:]:
-        if not b.smooth:
-            raise NotSmoothError("Hessian slots of the quadrature route need smooth bodies")
-    bases = tangent_bases(grid.nodes)
-    stacks = _hessian_stacks(bodies[1:], grid, bases)
-    density = mixed_discriminant_stack(stacks)
-    hvals = bodies[0].support_values(grid.nodes)
-    return grid.integrate(hvals * density) / n
+    if len(bodies) != grid.n:
+        raise ValueError(f"need exactly n={grid.n} bodies, got {len(bodies)}")
+    return mixed_volume_smooth(bodies[0], bodies[1], 1, bodies[2:], grid)
 
 
 # -- polytope volume route ----------------------------------------------------
@@ -373,27 +340,13 @@ def parallel_body_volume(P: ConvexBody, t: float) -> float:
 
 
 def _steiner_smooth(K: ConvexBody, grid: SphereGrid) -> list:
+    # t^0: vol(K) = V(K[n]); t^j for 0 < j < n: C(n, j) V(K[n-j], B[j]), the
+    # ball in the support slot and j - 1 Hessian slots; t^n: vol(B)
     n = grid.n
-    bases = tangent_bases(grid.nodes)
-    k_stack = restricted_hessian_stack(K.support, grid.nodes, bases)
-    eye = np.broadcast_to(np.eye(n - 1), k_stack.shape).copy()
-    h_k = K.support_values(grid.nodes)
-    coeffs = []
-    for j in range(n + 1):
-        if j == n:
-            coeffs.append(ball_volume(n))
-            continue
-        if j == 0:
-            # vol(K): K fills the support slot and all n-1 density slots
-            density = mixed_discriminant_stack([k_stack] * (n - 1))
-            value = grid.integrate(h_k * density) / n
-        else:
-            # V(K[n-j], B[j]): the ball takes the support slot (h == 1) and
-            # j-1 density slots, K the remaining n-j
-            density = mixed_discriminant_stack([k_stack] * (n - j) + [eye] * (j - 1))
-            value = grid.integrate(density) / n
-        coeffs.append(float(comb(n, j)) * value)
-    return coeffs
+    ball = make_ball(1.0, n=n)
+    volumes = [mixed_volume_smooth(K, K, n - 1, [], grid)]
+    volumes += [mixed_volume_smooth(ball, K, n - j, [ball] * (j - 1), grid) for j in range(1, n)]
+    return [float(comb(n, j)) * value for j, value in enumerate(volumes)] + [ball_volume(n)]
 
 
 def steiner_coefficients(K: ConvexBody, grid: SphereGrid) -> list:

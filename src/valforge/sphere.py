@@ -14,7 +14,11 @@ monomial tables read and fill that store, read-only, when they are passed
 that very node array; any other array (a copy, a slice, a broadcast view)
 is computed afresh on every call.  Grids held in module-level caches
 (``kernels._norm_grid_cache``, ``bodies._ellipsoid_mw_grid``) therefore keep
-their tables for the life of the process.
+their tables for the life of the process.  ``restricted_hessian_stack``
+takes its frames from ``tangent_bases`` of the nodes it is given, so every
+tangent form on a grid is written in that grid's one cached basis, the basis
+the spanning frame's solvers expect.  ``min_hessian_eigenvalue`` is the
+convexity sweep over those forms.
 """
 
 import itertools
@@ -33,6 +37,7 @@ __all__ = [
     "SumFunction",
     "build_grid",
     "fd_hessians",
+    "min_hessian_eigenvalue",
     "mixed_discriminant_stack",
     "monomial_sphere_integral",
     "sphere_area",
@@ -253,11 +258,15 @@ def _extension_values(f: SphericalFunction, Y: np.ndarray) -> np.ndarray:
     return r * f.values(Y / r[:, None])
 
 
-def fd_hessians(f: SphericalFunction, X: np.ndarray, base_step: float = 1e-3) -> np.ndarray:
+# coarse step h of fd_hessians; the fine step is h / 2
+_FD_STEP = 1e-3
+
+
+def fd_hessians(f: SphericalFunction, X: np.ndarray) -> np.ndarray:
     """Finite-difference Hessians of the 1-homogeneous extension of f.
 
-    Central second differences at steps h and h/2 combined by one Richardson
-    level, (4 H(h/2) - H(h)) / 3.
+    Central second differences at steps h = 1e-3 and h/2 combined by one
+    Richardson level, (4 H(h/2) - H(h)) / 3.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m, n = X.shape
@@ -278,14 +287,22 @@ def fd_hessians(f: SphericalFunction, X: np.ndarray, base_step: float = 1e-3) ->
                 H[:, j, i] = H[:, i, j]
         return H
 
-    coarse = at_step(base_step)
-    fine = at_step(base_step / 2.0)
+    coarse = at_step(_FD_STEP)
+    fine = at_step(_FD_STEP / 2.0)
     return (4.0 * fine - coarse) / 3.0
 
 
-def restricted_hessian_stack(f: SphericalFunction, nodes: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """Tangent-restricted Hessians of f at all nodes, shape (m, n-1, n-1)."""
+def restricted_hessian_stack(f: SphericalFunction, nodes: np.ndarray) -> np.ndarray:
+    """Tangent-restricted Hessians of f at all nodes, shape (m, n-1, n-1), in the ``tangent_bases`` frames."""
+    bases = tangent_bases(nodes)
     return np.swapaxes(bases, 1, 2) @ f.hessians(nodes) @ bases
+
+
+def min_hessian_eigenvalue(f: SphericalFunction, grid: SphereGrid):
+    """(value, node): the smallest eigenvalue of D^2 f over the grid nodes and a node attaining it."""
+    eigs = np.linalg.eigvalsh(restricted_hessian_stack(f, grid.nodes))[:, 0]
+    imin = int(np.argmin(eigs))
+    return float(eigs[imin]), grid.nodes[imin]
 
 
 def mixed_discriminant_stack(stacks) -> np.ndarray:

@@ -29,12 +29,7 @@ from .harmonics import (
 )
 from .kernels import TensorDecomposition
 from .mixed import mixed_area_density, mixed_volume_smooth
-from .sphere import (
-    SphereGrid,
-    mixed_discriminant_stack,
-    restricted_hessian_stack,
-    tangent_bases,
-)
+from .sphere import SphereGrid, min_hessian_eigenvalue, mixed_discriminant_stack, restricted_hessian_stack
 
 __all__ = [
     "CombinationTerm",
@@ -72,14 +67,14 @@ class KernelValuation:
             raise ValueError(f"parity must be None, 'even', or 'odd', got {self.parity!r}")
 
 
-def _kernel_tables(v: KernelValuation, grid: SphereGrid, bases) -> tuple:
+def _kernel_tables(v: KernelValuation, grid: SphereGrid) -> tuple:
     """``contract_first`` of the label table at the grid nodes, and the restricted
     Hessian stack of each label of slots 2..n-k, keyed by dictionary index."""
     decomp = v.decomposition
     later, first = decomp.contract_first(dictionary_values(grid.nodes, decomp.max_degree))
     entries = harmonic_dictionary(v.n, decomp.max_degree)
     labels = {int(d) for u in later for d in u}
-    return later, first, {d: restricted_hessian_stack(entries[d], grid.nodes, bases) for d in labels}
+    return later, first, {d: restricted_hessian_stack(entries[d], grid.nodes) for d in labels}
 
 
 def evaluate_kernel_valuation(v: KernelValuation, K: ConvexBody, grid: SphereGrid) -> float:
@@ -92,9 +87,8 @@ def evaluate_kernel_valuation(v: KernelValuation, K: ConvexBody, grid: SphereGri
     """
     if not K.smooth:
         raise ValueError("kernel valuations evaluate on smooth bodies only (singular measure otherwise)")
-    bases = tangent_bases(grid.nodes)
-    k_stack = restricted_hessian_stack(K.support, grid.nodes, bases)
-    later, first, stacks = _kernel_tables(v, grid, bases)
+    k_stack = restricted_hessian_stack(K.support, grid.nodes)
+    later, first, stacks = _kernel_tables(v, grid)
     total = 0.0
     for index in np.ndindex(first.shape[:-1]):
         if first[index].any():
@@ -118,7 +112,7 @@ def accumulate_g_alpha(v: KernelValuation, frame: SpanningFrame) -> dict:
     slots = v.n - v.k - 1
     if slots and not len(v.decomposition):
         return {}
-    later, T, stacks = _kernel_tables(v, grid, frame.bases)
+    later, T, stacks = _kernel_tables(v, grid)
     psi = {d: frame.coefficients_stack(forms) for d, forms in stacks.items()}  # (G, N) each
     # T[i_l, ..., i_m, x, s]: s runs over the index tuples of the slots contracted so far
     T = T[..., None]
@@ -154,10 +148,7 @@ def convexify(g, grid: SphereGrid):
     """
     if not isinstance(g, HarmonicCombination):
         raise ValueError("convexify needs a dictionary-backed band-limited function")
-    bases = tangent_bases(grid.nodes)
-    forms = restricted_hessian_stack(g, grid.nodes, bases)
-    eigs = np.linalg.eigvalsh(forms)[:, 0]
-    neg = max(0.0, float(-np.min(eigs)))
+    neg = max(0.0, -min_hessian_eigenvalue(g, grid)[0])
     gmax = float(np.max(np.abs(g.values(grid.nodes))))
     radius = max(1.0, 2.0 * neg + gmax)
     return make_perturbed_ball(radius, g, grid), make_ball(radius, n=grid.n), radius
@@ -199,17 +190,16 @@ def mixed_volume_count_bound(n: int, k: int) -> int:
     return 2 * math.comb(math.comb(n + 1, 2) + n - k - 1, n - k - 1)
 
 
-def synthesize(
-    v: KernelValuation,
-    family: EllipsoidFamily,
-    frame: SpanningFrame,
-    projection_margin: int = 4,
-) -> FiniteCombination:
+# carriers are projected onto the dictionary of degree kernel max_degree + this margin
+_PROJECTION_MARGIN = 4
+
+
+def synthesize(v: KernelValuation, family: EllipsoidFamily, frame: SpanningFrame) -> FiniteCombination:
     """Run the full pipeline: accumulate g_alpha, project, convexify.
 
     The accumulated node values are rescaled by n (turning the measure-pairing
     normalization into the mixed-volume one), projected onto the harmonic
-    dictionary of degree kernel max_degree + projection_margin as a smooth
+    dictionary of degree kernel max_degree + 4 as a smooth
     carrier, parity-projected when the valuation declares a parity, and split
     into certified bodies.  Each alpha is an ellipsoid multiset reached by
     ``accumulate_g_alpha``, so there are at most
@@ -218,7 +208,7 @@ def synthesize(
     grid = frame.grid
     n = v.n
     buckets = accumulate_g_alpha(v, frame)
-    proj_degree = v.decomposition.max_degree + projection_margin
+    proj_degree = v.decomposition.max_degree + _PROJECTION_MARGIN
     terms = []
     for alpha in sorted(buckets):
         carrier = HarmonicCombination(n, project_to_dictionary(n * buckets[alpha], grid, proj_degree))
@@ -242,8 +232,8 @@ def evaluate_combination(comb: FiniteCombination, K: ConvexBody, grid: SphereGri
     """Evaluate the finite combination on a smooth body.
 
     Returns the mixed-volume representation sum_alpha V(K[k], L+, E[alpha]) -
-    V(K[k], L-, E[alpha]), with one mixed area density per alpha-term shared
-    by its two mixed volumes.
+    V(K[k], L-, E[alpha]), with one mixed area density (node array) per
+    alpha-term shared by its two mixed volumes.
     """
     if not K.smooth:
         raise ValueError("finite combinations evaluate on smooth bodies (quadrature route)")

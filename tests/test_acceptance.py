@@ -12,7 +12,6 @@ import pytest
 
 import valforge as vf
 from valforge.family import _frame_matrices, sym_vec
-from valforge.sphere import tangent_basis
 from conftest import random_perturbed_ball, random_rotation, random_spd, random_unit
 
 
@@ -46,7 +45,7 @@ def test_criterion_2_frame_identity(family3, frame3):
         form = rng.normal(size=(2, 2))
         form = 0.5 * (form + form.T)
         psi = frame3.coefficients_at(x, form)
-        S = _frame_matrices(family3, x[None], tangent_basis(x)[None])[0]
+        S = _frame_matrices(family3, x[None])[0]
         worst = max(worst, float(np.max(np.abs(S @ psi - sym_vec(form)))))
     assert worst <= 1e-9
     elapsed = time.perf_counter() - start

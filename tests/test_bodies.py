@@ -43,6 +43,27 @@ def test_perturbed_ball_construction(grid20):
     assert err.value.eigenvalue < 1e-6
 
 
+def test_non_finite_fields_are_refused(grid20):
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError, match="harmonic coefficients must be finite"):
+        vf.make_perturbed_ball(1.0, {(2, 0): nan}, grid20)
+    # a NaN carrier given as a vector has NaN Hessian eigenvalues: not certified
+    g = vf.combine_dictionary(3, {(2, 0): 0.01})
+    with pytest.raises(vf.ConvexityViolation):
+        vf.make_perturbed_ball(1.0, vf.HarmonicCombination(3, np.where(g.c != 0.0, nan, g.c)), grid20)
+    for radius in (nan, inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            vf.make_ball(radius)
+        with pytest.raises(ValueError, match="positive and finite"):
+            vf.make_perturbed_ball(radius, {(2, 0): 0.01}, grid20)
+    with pytest.raises(ValueError, match="must be finite"):
+        vf.make_ellipsoid(np.diag([1.0, nan, 1.0]))
+    with pytest.raises(ValueError, match="must be finite"):
+        vf.make_polytope([[0.0, 0.0, 0.0], [1.0, 0.0, inf]])
+    with pytest.raises(ValueError, match="must be finite"):
+        vf.translate(vf.make_ball(1.0), [0.0, nan, 0.0])
+
+
 def test_polytope_support_exact():
     cube = vf.make_polytope([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
     assert cube.support.value([1.0, 0.0, 0.0]) == 1.0

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -309,8 +310,35 @@ def k2_artifact(tmp_path_factory):
             2,
             "input error: body bad: harmonic label 2,9 is outside the n = 3 dictionary",
         ),
+        # non-finite fields: a NaN eigenvalue would otherwise pass the certificate
+        ({"kind": "ball", "radius": math.nan}, 2, "input error: body bad: ball radius must be positive and finite"),
+        (
+            {"kind": "perturbed_ball", "radius": 1.0, "coeffs": {"2,0": math.nan}},
+            2,
+            "input error: body bad: harmonic coefficients must be finite",
+        ),
+        (
+            {"kind": "perturbed_ball", "radius": math.inf, "coeffs": {"2,0": 0.01}},
+            2,
+            "input error: body bad: perturbed ball radius must be positive and finite",
+        ),
+        (
+            {"kind": "ball", "radius": 1.0, "center": [math.nan, 0.0, 0.0]},
+            2,
+            "input error: body bad: translation vector must be finite",
+        ),
     ],
-    ids=["unknown-kind", "negative-radius", "polytope", "non-convex", "bad-label"],
+    ids=[
+        "unknown-kind",
+        "negative-radius",
+        "polytope",
+        "non-convex",
+        "bad-label",
+        "nan-radius",
+        "nan-coefficient",
+        "infinite-radius",
+        "nan-center",
+    ],
 )
 def test_verify_bad_body(tmp_path, capsys, k2_artifact, body, code, message):
     bodies = tmp_path / "bodies.json"

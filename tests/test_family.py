@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 import valforge as vf
 from valforge.family import _frame_matrices, norm_constant_diagnostic, sym_unvec, sym_vec
-from valforge.sphere import tangent_basis
 from conftest import random_unit
 
 
@@ -108,7 +107,7 @@ def test_dual_frame_reconstruction_random_nodes(family3, frame3):
         form = rng.normal(size=(2, 2))
         form = 0.5 * (form + form.T)
         psi = frame3.coefficients_at(x, form)
-        S = _frame_matrices(family3, x[None], tangent_basis(x)[None])[0]
+        S = _frame_matrices(family3, x[None])[0]
         assert np.max(np.abs(S @ psi - sym_vec(form))) < 1e-9
 
 
@@ -137,7 +136,7 @@ def test_dual_frame_coefficient_continuity(family3, frame3):
     grid = frame3.grid
     from valforge.sphere import restricted_hessian_stack
 
-    forms = restricted_hessian_stack(body.support, grid.nodes, frame3.bases)
+    forms = restricted_hessian_stack(body.support, grid.nodes)
     coeffs = frame3.coefficients_stack(forms)
     # compare neighbouring polar nodes along the same meridian
     m_angle = 2 * (grid.degree + 1)

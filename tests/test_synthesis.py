@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import valforge as vf
-from valforge.sphere import restricted_hessian_stack, tangent_bases
+from valforge.sphere import restricted_hessian_stack
 from conftest import random_perturbed_ball, random_unit
 
 
@@ -93,7 +93,7 @@ def test_accumulate_top_degree_sums_first_factors(grid20, family3, frame3):
 def test_accumulate_family_member_reconstruction(frame3, family3, grid20):
     # frame coefficients of a family member's Hessian reproduce it pointwise
     member = family3.ellipsoids[2]
-    forms = restricted_hessian_stack(member.support, grid20.nodes, frame3.bases)
+    forms = restricted_hessian_stack(member.support, grid20.nodes)
     coeffs = frame3.coefficients_stack(forms)
     rec = frame3.reconstruct_stack(coeffs)
     assert np.max(np.abs(rec - forms)) < 1e-9
@@ -163,12 +163,11 @@ def test_convexify_even_input_gives_symmetric_body(grid20):
 def test_convexify_certificate_holds_by_construction(grid20):
     # lambda_min(D^2 h_{L+}) = R + lambda_min(D^2 g) = R - neg >= max(neg, 1 - neg) >= 1/2
     rng = np.random.default_rng(5)
-    bases = tangent_bases(grid20.nodes)
     for amplitude in np.geomspace(1e-3, 30.0, 12):
         coeffs = {(l, j): amplitude * rng.normal() / (1 + l) for l in range(1, 5) for j in range(2 * l + 1)}
         g = vf.combine_dictionary(3, coeffs)
         l_plus, _, radius = vf.convexify(g, grid20)
-        lam_g = float(np.min(np.linalg.eigvalsh(restricted_hessian_stack(g, grid20.nodes, bases))[:, 0]))
+        lam_g = float(np.min(np.linalg.eigvalsh(restricted_hessian_stack(g, grid20.nodes))[:, 0]))
         certificate = vf.convexity_certificate(l_plus, grid20)
         assert certificate >= 0.5
         assert abs(certificate - (radius + lam_g)) <= 1e-12 * radius
