@@ -5,9 +5,13 @@ Two independent mixed-volume backends serve as mutual oracles:
 * a quadrature route for smooth bodies, V(L, K[k], L_2, ...) =
   (1/n) integral h_L * D(D^2 h_K [k], D^2 h_{L_2}, ...): ``mixed_area_density``
   returns the mixed discriminant at the grid nodes as a plain array, and
-  ``mixed_volume_smooth`` integrates a support function against it.  Every
-  smooth mixed volume and Steiner coefficient goes through that one routine
-  (a polytope is allowed only in the plain support-function slot);
+  ``mixed_volume_smooth`` integrates a support function against a node
+  array.  Every smooth mixed volume and Steiner coefficient goes through
+  that one routine (a polytope is allowed only in the plain support-function
+  slot).  Mixed volumes are linear in the support slot, so a signed sum of
+  densities, built once, values a whole sum of mixed volumes that share
+  their support body: ``synthesis.evaluate_combination`` values a k = 1
+  artifact that way;
 * a polarization route for polytopes, the inclusion-exclusion sum of the
   2^n - 1 volumes of Minkowski sums of nonempty subsets of the bodies.
 
@@ -63,19 +67,14 @@ def mixed_area_density(K: ConvexBody, k: int, others, grid: SphereGrid) -> np.nd
     return mixed_discriminant_stack([k_stack] * k + [restricted_hessian_stack(b.support, grid.nodes) for b in others])
 
 
-def mixed_volume_smooth(
-    L1: ConvexBody, K: ConvexBody, k: int, others, grid: SphereGrid, density: np.ndarray | None = None
-) -> float:
-    """V(K[k], L1, L2, ..., L_{n-k}) by quadrature against the mixed area density.
+def mixed_volume_smooth(L1: ConvexBody, density: np.ndarray, grid: SphereGrid) -> float:
+    """(1/n) integral h_{L1} * density: V(L1, K[k], L_2, ...) for density = mixed_area_density(K, k, [L_2, ...]).
 
-    Only the support values of L1 are integrated, so L1 may be a polytope;
-    the density slots follow the mixed_area_density requirements.  A
-    ``density`` already computed for (K, k, others) on this grid is reused.
+    Only the support values of L1 are integrated, so L1 may be a polytope.
+    The density is any node array on this grid: by linearity a signed sum of
+    mixed area densities gives the matching sum of mixed volumes.
     """
-    if density is None:
-        density = mixed_area_density(K, k, others, grid)
-    hvals = L1.support_values(grid.nodes)
-    return grid.integrate(hvals * density) / grid.n
+    return grid.integrate(L1.support_values(grid.nodes) * density) / grid.n
 
 
 def mixed_volume_quadrature(bodies, grid: SphereGrid) -> float:
@@ -83,7 +82,7 @@ def mixed_volume_quadrature(bodies, grid: SphereGrid) -> float:
     bodies = list(bodies)
     if len(bodies) != grid.n:
         raise ValueError(f"need exactly n={grid.n} bodies, got {len(bodies)}")
-    return mixed_volume_smooth(bodies[0], bodies[1], 1, bodies[2:], grid)
+    return mixed_volume_smooth(bodies[0], mixed_area_density(bodies[1], 1, bodies[2:], grid), grid)
 
 
 # -- polytope volume route ----------------------------------------------------
@@ -344,8 +343,9 @@ def _steiner_smooth(K: ConvexBody, grid: SphereGrid) -> list:
     # ball in the support slot and j - 1 Hessian slots; t^n: vol(B)
     n = grid.n
     ball = make_ball(1.0, n=n)
-    volumes = [mixed_volume_smooth(K, K, n - 1, [], grid)]
-    volumes += [mixed_volume_smooth(ball, K, n - j, [ball] * (j - 1), grid) for j in range(1, n)]
+    volumes = [mixed_volume_smooth(K, mixed_area_density(K, n - 1, [], grid), grid)]
+    for j in range(1, n):
+        volumes.append(mixed_volume_smooth(ball, mixed_area_density(K, n - j, [ball] * (j - 1), grid), grid))
     return [float(comb(n, j)) * value for j, value in enumerate(volumes)] + [ball_volume(n)]
 
 

@@ -305,13 +305,19 @@ def min_hessian_eigenvalue(f: SphericalFunction, grid: SphereGrid):
     return float(eigs[imin]), grid.nodes[imin]
 
 
+# rows (columns) i + 1, i + 2 mod 3: the 2 x 2 minor of entry (i, j) of a 3 x 3 matrix
+_MINOR = ((1, 2), (2, 0), (0, 1))
+
+
 def mixed_discriminant_stack(stacks) -> np.ndarray:
     """Vectorized mixed discriminant of m stacks of symmetric matrices.
 
     Each entry of ``stacks`` has shape (g, m, m); the result has shape (g,).
-    Closed forms for m = 1 (the entry) and m = 2, where the polarization is
-    D(A, B) = (a11 b22 + a22 b11 - a12 b21 - a21 b12) / 2; the subset sum
-    for m >= 3.
+    Closed forms for m = 1 (the entry), m = 2, where the polarization is
+    D(A, B) = (a11 b22 + a22 b11 - a12 b21 - a21 b12) / 2, and m = 3, where
+    D(A, B, C) = (1/3) sum_ij a_ij cof(B, C)_ij with cof(B, C) the polarized
+    cofactor matrix, (cof(B + C) - cof(B) - cof(C)) / 2 (as
+    sum_ij b_ij cof(B)_ij = 3 det B); the subset sum for m >= 4.
     """
     stacks = [np.asarray(s, dtype=float) for s in stacks]
     m = len(stacks)
@@ -326,6 +332,15 @@ def mixed_discriminant_stack(stacks) -> np.ndarray:
         return 0.5 * (
             A[:, 0, 0] * B[:, 1, 1] + A[:, 1, 1] * B[:, 0, 0] - A[:, 0, 1] * B[:, 1, 0] - A[:, 1, 0] * B[:, 0, 1]
         )
+    if m == 3:
+        A, B, C = stacks
+        total = np.zeros(g)
+        for i, j in itertools.product(range(3), repeat=2):
+            (i1, i2), (j1, j2) = _MINOR[i], _MINOR[j]
+            cofactor = B[:, i1, j1] * C[:, i2, j2] + C[:, i1, j1] * B[:, i2, j2]
+            cofactor -= B[:, i1, j2] * C[:, i2, j1] + C[:, i1, j2] * B[:, i2, j1]
+            total += A[:, i, j] * cofactor
+        return total / 6.0
     total = np.zeros(g)
     for r in range(1, m + 1):
         sign = (-1.0) ** (m - r)

@@ -10,11 +10,16 @@ multiset yields functions g_alpha with mu(K) = sum_alpha (1/n) integral
 g~_alpha dS(K[k], E[alpha]) (g~ = n g absorbs the volume/measure scaling), and
 splitting each g~_alpha = h_{L+} - h_{L-} against a large ball turns the sum
 into differences of mixed volumes with certified convex bodies.
+
+Evaluation compiles what does not depend on the body once per (valuation,
+grid): a kernel valuation its label tables, a k = 1 combination one signed
+mixed area measure.  Each compiled table is held on the valuation or
+combination that owns it, so it lives exactly as long as that object.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +60,7 @@ class KernelValuation:
     k: int
     decomposition: TensorDecomposition
     parity: str | None = None
+    _node_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n - 1:
@@ -67,9 +73,27 @@ class KernelValuation:
             raise ValueError(f"parity must be None, 'even', or 'odd', got {self.parity!r}")
 
 
+def _on_grid(owner, grid: SphereGrid, build):
+    """``build(owner, grid)``, computed once per grid and held on ``owner``.
+
+    The key is the id of ``grid.nodes``, and the entry keeps that array alive,
+    so the id cannot name another array while the entry exists (the reasoning
+    of ``sphere._GRID_TABLES``).  The entries go when ``owner`` goes.
+    """
+    key = id(grid.nodes)
+    if key not in owner._node_tables:
+        owner._node_tables[key] = (grid.nodes, build(owner, grid))
+    return owner._node_tables[key][1]
+
+
 def _kernel_tables(v: KernelValuation, grid: SphereGrid) -> tuple:
     """``contract_first`` of the label table at the grid nodes, and the restricted
-    Hessian stack of each label of slots 2..n-k, keyed by dictionary index."""
+    Hessian stack of each label of slots 2..n-k, keyed by dictionary index;
+    built once per grid."""
+    return _on_grid(v, grid, _build_kernel_tables)
+
+
+def _build_kernel_tables(v: KernelValuation, grid: SphereGrid) -> tuple:
     decomp = v.decomposition
     later, first = decomp.contract_first(dictionary_values(grid.nodes, decomp.max_degree))
     entries = harmonic_dictionary(v.n, decomp.max_degree)
@@ -173,6 +197,7 @@ class FiniteCombination:
     family: EllipsoidFamily
     terms: tuple
     kernel_max_degree: int
+    _node_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def mixed_volume_count(self) -> int:
@@ -228,22 +253,38 @@ def _family_multiset(comb: FiniteCombination, alpha):
     return bodies
 
 
+def _signed_area_measure(comb: FiniteCombination, grid: SphereGrid) -> np.ndarray:
+    """Node values of nu = sum_alpha S(L+_alpha, E[alpha]) - S(L-_alpha, E[alpha]), for k = 1."""
+    nu = np.zeros(grid.size)
+    for term in comb.terms:
+        others = _family_multiset(comb, term.alpha)
+        nu += mixed_area_density(term.l_plus, 1, others, grid) - mixed_area_density(term.l_minus, 1, others, grid)
+    nu.setflags(write=False)
+    return nu
+
+
 def evaluate_combination(comb: FiniteCombination, K: ConvexBody, grid: SphereGrid) -> float:
     """Evaluate the finite combination on a smooth body.
 
     Returns the mixed-volume representation sum_alpha V(K[k], L+, E[alpha]) -
-    V(K[k], L-, E[alpha]), with one mixed area density (node array) per
-    alpha-term shared by its two mixed volumes.
+    V(K[k], L-, E[alpha]).  For k = 1, mixed volumes are symmetric and linear
+    in the support slot, so the sum is (1/n) integral h_K dnu, with the signed
+    measure nu = sum_alpha S(L+_alpha, E[alpha]) - S(L-_alpha, E[alpha]) that
+    does not depend on K.  nu is built from the artifact's own bodies (two
+    mixed area densities per alpha-term) once per grid and held on the
+    combination, and each body then costs one support-function integral.  For
+    k >= 2, K fills several Hessian slots and the sum is not linear in K:
+    each alpha-term gets one mixed area density of K, shared by its two mixed
+    volumes.
     """
     if not K.smooth:
         raise ValueError("finite combinations evaluate on smooth bodies (quadrature route)")
+    if comb.k == 1:
+        return mixed_volume_smooth(K, _on_grid(comb, grid, _signed_area_measure), grid)
     total = 0.0
     for term in comb.terms:
-        others = _family_multiset(comb, term.alpha)
-        density = mixed_area_density(K, comb.k, others, grid)
-        v_plus = mixed_volume_smooth(term.l_plus, K, comb.k, others, grid, density=density)
-        v_minus = mixed_volume_smooth(term.l_minus, K, comb.k, others, grid, density=density)
-        total += v_plus - v_minus
+        density = mixed_area_density(K, comb.k, _family_multiset(comb, term.alpha), grid)
+        total += mixed_volume_smooth(term.l_plus, density, grid) - mixed_volume_smooth(term.l_minus, density, grid)
     return total
 
 
@@ -291,6 +332,10 @@ def combination_from_dict(data: dict, grid: SphereGrid):
     A term is read from its ``alpha``, ``l_plus`` and ``l_minus``; L+ re-runs
     its convexity certificate on the grid.  The ``g`` and ``radius`` keys of
     older artifacts repeat L+'s perturbation and radius and are ignored.
+
+    Both objects are compiled for that grid here, so that loading pays for
+    them and no evaluation does: the kernel's label tables, and for k = 1 the
+    combination's signed mixed area measure (see ``evaluate_combination``).
     """
     n = int(data["n"])
     k = int(data["k"])
@@ -329,4 +374,7 @@ def combination_from_dict(data: dict, grid: SphereGrid):
             max_degree=max_degree,
         )
         valuation = KernelValuation(n=n, k=k, decomposition=decomp, parity=kdata.get("parity"))
+        _kernel_tables(valuation, grid)
+    if k == 1:
+        _on_grid(comb, grid, _signed_area_measure)
     return comb, valuation

@@ -55,7 +55,7 @@ def test_criterion_2_frame_identity(family3, frame3):
 def test_criterion_3_mixed_volume_oracles(grid20):
     start = time.perf_counter()
     B = vf.make_ball(1.0)
-    v_ball = vf.mixed_volume_smooth(B, B, 2, [], grid20)
+    v_ball = vf.mixed_volume_quadrature([B, B, B], grid20)
     assert v_ball == pytest.approx(4 * np.pi / 3, abs=1e-8)
 
     cube = vf.make_polytope([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])

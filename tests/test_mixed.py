@@ -51,7 +51,7 @@ def test_density_mass_equals_mixed_volume(grid20):
     B = vf.make_ball(1.0)
     density = vf.mixed_area_density(K, 1, [B], grid20)
     mass = grid20.integrate(density)
-    via_volume = 3.0 * vf.mixed_volume_smooth(B, K, 1, [B], grid20, density=density)
+    via_volume = 3.0 * vf.mixed_volume_smooth(B, density, grid20)
     assert mass == pytest.approx(via_volume, rel=1e-12)
 
 
@@ -68,22 +68,22 @@ def test_density_rejects_bad_arguments(grid20):
 
 def test_ball_mixed_volume(grid20):
     B = vf.make_ball(1.0)
-    assert vf.mixed_volume_smooth(B, B, 2, [], grid20) == pytest.approx(4 * np.pi / 3, abs=1e-8)
+    assert vf.mixed_volume_quadrature([B, B, B], grid20) == pytest.approx(4 * np.pi / 3, abs=1e-8)
 
 
 def test_mixed_volume_slot_symmetry(grid30):
     E = vf.make_ellipsoid(np.diag([2.0, 1.0, 0.7]))
     B = vf.make_ball(1.0)
     # V(B, B, E): evaluate with E in the support slot and with E in a Hessian slot
-    a = vf.mixed_volume_smooth(E, B, 2, [], grid30)
-    b = vf.mixed_volume_smooth(B, B, 1, [E], grid30)
+    a = vf.mixed_volume_quadrature([E, B, B], grid30)
+    b = vf.mixed_volume_quadrature([B, B, E], grid30)
     assert a == pytest.approx(b, rel=1e-8)
 
 
 def test_mixed_volume_cube_in_support_slot():
     grid = vf.build_grid(3, 60)
     B = vf.make_ball(1.0)
-    value = vf.mixed_volume_smooth(unit_cube(), B, 2, [], grid)
+    value = vf.mixed_volume_quadrature([unit_cube(), B, B], grid)
     # V(C, B, B) = pi; support-function kinks limit the quadrature rate
     assert value == pytest.approx(np.pi, rel=2e-3)
 
@@ -92,11 +92,11 @@ def test_mixed_volume_translation_invariance(grid20):
     rng = np.random.default_rng(2)
     K = vf.make_ellipsoid(random_spd(rng))
     L = vf.make_ellipsoid(random_spd(rng))
-    base = vf.mixed_volume_smooth(L, K, 2, [], grid20)
+    base = vf.mixed_volume_quadrature([L, K, K], grid20)
     shifted_L = vf.translate(L, np.array([0.4, -0.2, 0.9]))
     shifted_K = vf.translate(K, np.array([-0.3, 0.5, 0.1]))
-    assert vf.mixed_volume_smooth(shifted_L, K, 2, [], grid20) == pytest.approx(base, rel=1e-7)
-    assert vf.mixed_volume_smooth(L, shifted_K, 2, [], grid20) == pytest.approx(base, rel=1e-7)
+    assert vf.mixed_volume_quadrature([shifted_L, K, K], grid20) == pytest.approx(base, rel=1e-7)
+    assert vf.mixed_volume_quadrature([L, shifted_K, shifted_K], grid20) == pytest.approx(base, rel=1e-7)
 
 
 def test_mixed_volume_multilinearity(grid20):
@@ -105,12 +105,12 @@ def test_mixed_volume_multilinearity(grid20):
     L1 = vf.make_ellipsoid(random_spd(rng))
     L2 = vf.make_ellipsoid(random_spd(rng))
     summed = vf.minkowski_support([L1, L2], [1.0, 1.0])
-    left = vf.mixed_volume_smooth(summed, K, 2, [], grid20)
-    right = vf.mixed_volume_smooth(L1, K, 2, [], grid20) + vf.mixed_volume_smooth(L2, K, 2, [], grid20)
+    left = vf.mixed_volume_quadrature([summed, K, K], grid20)
+    right = vf.mixed_volume_quadrature([L1, K, K], grid20) + vf.mixed_volume_quadrature([L2, K, K], grid20)
     assert left == pytest.approx(right, rel=1e-8)
     scaled = vf.minkowski_support([L1], [2.5])
-    assert vf.mixed_volume_smooth(scaled, K, 2, [], grid20) == pytest.approx(
-        2.5 * vf.mixed_volume_smooth(L1, K, 2, [], grid20), rel=1e-10
+    assert vf.mixed_volume_quadrature([scaled, K, K], grid20) == pytest.approx(
+        2.5 * vf.mixed_volume_quadrature([L1, K, K], grid20), rel=1e-10
     )
 
 
@@ -137,7 +137,7 @@ def test_mixed_volume_diagonal_is_volume(grid30):
     rng = np.random.default_rng(4)
     A = random_spd(rng)
     E = vf.make_ellipsoid(A)
-    vol = vf.mixed_volume_smooth(E, E, 2, [], grid30)
+    vol = vf.mixed_volume_quadrature([E, E, E], grid30)
     assert vol == pytest.approx(4 * np.pi / 3 * np.sqrt(np.linalg.det(A)), rel=1e-6)
     cube = unit_cube()
     assert vf.polytope_mixed_volume([cube] * 3) == pytest.approx(vf.polytope_volume(cube), rel=1e-6)
@@ -346,7 +346,7 @@ def test_steiner_matches_smooth_growth(grid30):
     B = vf.make_ball(1.0)
     for t in (0.25, 0.75):
         grown = vf.minkowski_support([K, B], [1.0, t])
-        direct = vf.mixed_volume_smooth(grown, grown, 2, [], grid30)
+        direct = vf.mixed_volume_quadrature([grown, grown, grown], grid30)
         poly = sum(c * t**j for j, c in enumerate(coeffs))
         assert direct == pytest.approx(poly, rel=1e-8)
 

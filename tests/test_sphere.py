@@ -184,7 +184,7 @@ def _det_polarization(mats):
     return total / math.factorial(m)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_mixed_discriminant_stack_matches_det_polarization(m):
     rng = np.random.default_rng(10 + m)
     raw = rng.normal(size=(m, 200, m, m))

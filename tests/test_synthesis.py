@@ -1,6 +1,9 @@
+import dataclasses
+import gc
 import itertools
 import json
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ from numpy.testing import assert_allclose
 
 import valforge as vf
 from valforge.sphere import restricted_hessian_stack
-from conftest import random_perturbed_ball, random_unit
+from conftest import random_perturbed_ball, random_spd, random_unit
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +49,7 @@ def test_kernel_valuation_equals_scaled_mixed_volume(separable_valuation_k1, gri
     for _ in range(3):
         K = random_perturbed_ball(rng, grid20)
         direct = vf.evaluate_kernel_valuation(v, K, grid20)
-        mixed = vf.mixed_volume_smooth(p1, K, 1, [p2], grid20)
+        mixed = vf.mixed_volume_quadrature([p1, K, p2], grid20)
         assert direct == pytest.approx(3.0 * mixed, rel=1e-7)
 
 
@@ -222,6 +225,98 @@ def test_round_trip_multiterm_k2(family3, frame3, grid20):
         a = vf.evaluate_kernel_valuation(v, K, grid20)
         b = vf.evaluate_combination(comb, K, grid20)
         assert b == pytest.approx(a, rel=1e-2)
+
+
+def _literal_value(comb, K, grid):
+    """sum_alpha V(K[k], L+, E[alpha]) - V(K[k], L-, E[alpha]), one mixed volume at a time, L+- in the support slot."""
+    total = 0.0
+    for term in comb.terms:
+        others = [comb.family.ellipsoids[i] for i, count in enumerate(term.alpha) for _ in range(count)]
+        density = vf.mixed_area_density(K, comb.k, others, grid)
+        total += vf.mixed_volume_smooth(term.l_plus, density, grid)
+        total -= vf.mixed_volume_smooth(term.l_minus, density, grid)
+    return total
+
+
+@pytest.fixture(scope="module")
+def combination_n4_k1():
+    # criterion 10's n = 4, k = 1 combination: 66 alpha-terms on the degree-12 grid
+    grid = vf.build_grid(4, 12)
+    family = vf.build_family(4)
+    labels = ({(2, 0): 0.05, (3, 1): 0.02}, {(1, 0): 0.1, (4, 3): 0.03}, {(2, 3): 0.04, (1, 2): 0.05})
+    factors = [vf.make_perturbed_ball(1.0, coeffs, grid) for coeffs in labels]
+    v = vf.KernelValuation(n=4, k=1, decomposition=vf.decompose_kernel(vf.separable_kernel(factors), 3, 4, n=4))
+    return vf.synthesize(v, family, vf.dual_frame(family, grid)), grid
+
+
+def test_compiled_k1_equals_literal_mixed_volumes(combination_k1, grid20):
+    rng = np.random.default_rng(13)
+    bodies = [
+        vf.make_ball(rng.uniform(0.5, 2.0)),
+        vf.make_ellipsoid(random_spd(rng)),
+        random_perturbed_ball(rng, grid20),
+        vf.translate(random_perturbed_ball(rng, grid20), rng.uniform(-1.0, 1.0, 3)),
+    ]
+    for K in bodies:
+        literal = _literal_value(combination_k1, K, grid20)
+        assert vf.evaluate_combination(combination_k1, K, grid20) == pytest.approx(literal, rel=1e-12)
+
+
+def test_compiled_n4_k1_equals_literal_mixed_volumes(combination_n4_k1):
+    comb, grid = combination_n4_k1
+    K = random_perturbed_ball(np.random.default_rng(101), grid)
+    assert vf.evaluate_combination(comb, K, grid) == pytest.approx(_literal_value(comb, K, grid), rel=1e-12)
+
+
+def test_k1_measure_compiles_once_per_grid(combination_k1, grid20, monkeypatch):
+    comb = dataclasses.replace(combination_k1)  # the same terms, nothing compiled yet
+    density = vf.mixed_area_density
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return density(*args)
+
+    monkeypatch.setattr("valforge.synthesis.mixed_area_density", counted)
+    rng = np.random.default_rng(14)
+    bodies = [random_perturbed_ball(rng, grid20) for _ in range(5)]
+    for K in bodies:
+        vf.evaluate_combination(comb, K, grid20)
+    assert len(calls) == 2 * len(comb.terms)
+    monkeypatch.undo()
+    # a second grid compiles its own measure, and the first keeps its own
+    grid24 = vf.build_grid(3, 24)
+    for grid in (grid24, grid20):
+        assert vf.evaluate_combination(comb, bodies[0], grid) == pytest.approx(
+            _literal_value(comb, bodies[0], grid), rel=1e-12
+        )
+    # the compiled measures live and die with the combination
+    ref = weakref.ref(comb)
+    del comb
+    gc.collect()
+    assert ref() is None
+
+
+def test_translation_invariance(separable_valuation_k1, combination_k1, family3, frame3, grid20):
+    # for k = 1 the compiled route is (1/n) integral h_K dnu, so invariance rests on
+    # integral x dnu = 0 rather than on the Hessian of <x, v> vanishing
+    v1, _ = separable_valuation_k1
+    kernel = vf.harmonic_table_kernel(3, [(0.8, [(0, 0)]), (0.2, [(2, 1)]), (-0.1, [(3, 3)])])
+    v2 = vf.KernelValuation(n=3, k=2, decomposition=vf.decompose_kernel(kernel, 1, 4))
+    comb2 = vf.synthesize(v2, family3, frame3)
+    evaluations = [
+        (vf.evaluate_combination, combination_k1),
+        (vf.evaluate_combination, comb2),
+        (vf.evaluate_kernel_valuation, v1),
+        (vf.evaluate_kernel_valuation, v2),
+    ]
+    rng = np.random.default_rng(15)
+    for K in (random_perturbed_ball(rng, grid20), vf.make_ellipsoid(random_spd(rng)), vf.make_ball(1.3)):
+        shift = rng.normal(size=3)
+        shifted = vf.translate(K, rng.uniform(0.2, 1.0) * shift / np.linalg.norm(shift))
+        for evaluate, valuation in evaluations:
+            base = evaluate(valuation, K, grid20)
+            assert abs(evaluate(valuation, shifted, grid20) - base) <= 1e-12 * abs(base)
 
 
 def test_zero_valuation_synthesizes_to_zero(family3, frame3, grid20):
