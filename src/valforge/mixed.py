@@ -10,8 +10,8 @@ Two independent mixed-volume backends serve as mutual oracles:
   that one routine (a polytope is allowed only in the plain support-function
   slot).  Mixed volumes are linear in the support slot, so a signed sum of
   densities, built once, values a whole sum of mixed volumes that share
-  their support body: ``synthesis.evaluate_combination`` values a k = 1
-  artifact that way;
+  their support body: ``synthesis`` values every kernel and combination
+  that way, with K in the support slot against one compiled node table;
 * a polarization route for polytopes, the inclusion-exclusion sum of the
   2^n - 1 volumes of Minkowski sums of nonempty subsets of the bodies.
 

@@ -11,10 +11,13 @@ g~_alpha dS(K[k], E[alpha]) (g~ = n g absorbs the volume/measure scaling), and
 splitting each g~_alpha = h_{L+} - h_{L-} against a large ball turns the sum
 into differences of mixed volumes with certified convex bodies.
 
-Evaluation compiles what does not depend on the body once per (valuation,
-grid): a kernel valuation its label tables, a k = 1 combination one signed
-mixed area measure.  Each compiled table is held on the valuation or
-combination that owns it, so it lives exactly as long as that object.
+Evaluation is one routine for kernels and combinations alike.  Both are sums
+of mixed volumes, which are symmetric and multilinear, so K can take the
+support slot and k - 1 Hessian slots; everything else is a (G, P) node
+table T over the (k-1) x (k-1) minors of a restricted Hessian, compiled once
+per (valuation, grid) and held on the valuation or combination that owns it,
+so it lives exactly as long as that object.  A body then costs
+(1/n) integral h_K sum_p det D^2 h_K[I_p, J_p] T[:, p].
 """
 
 import itertools
@@ -28,6 +31,7 @@ from .family import EllipsoidFamily, SpanningFrame, build_family
 from .harmonics import (
     HarmonicCombination,
     dictionary_positions,
+    dictionary_size,
     dictionary_values,
     harmonic_dictionary,
     project_to_dictionary,
@@ -74,51 +78,93 @@ class KernelValuation:
 
 
 def _on_grid(owner, grid: SphereGrid, build):
-    """``build(owner, grid)``, computed once per grid and held on ``owner``.
+    """``build(owner, grid)``, computed once per (builder, grid) and held on ``owner``.
 
-    The key is the id of ``grid.nodes``, and the entry keeps that array alive,
-    so the id cannot name another array while the entry exists (the reasoning
-    of ``sphere._GRID_TABLES``).  The entries go when ``owner`` goes.
+    The key holds the id of ``grid.nodes``, and the entry keeps that array
+    alive, so the id cannot name another array while the entry exists (the
+    reasoning of ``sphere._GRID_TABLES``).  The entries go when ``owner`` goes.
     """
-    key = id(grid.nodes)
+    key = (build, id(grid.nodes))
     if key not in owner._node_tables:
         owner._node_tables[key] = (grid.nodes, build(owner, grid))
     return owner._node_tables[key][1]
 
 
-def _kernel_tables(v: KernelValuation, grid: SphereGrid) -> tuple:
-    """``contract_first`` of the label table at the grid nodes, and the restricted
-    Hessian stack of each label of slots 2..n-k, keyed by dictionary index;
-    built once per grid."""
-    return _on_grid(v, grid, _build_kernel_tables)
+def _label_stacks(v: KernelValuation, grid: SphereGrid) -> dict:
+    """The restricted Hessian stack of each label of slots 2..n-k, keyed by dictionary index."""
+    entries = harmonic_dictionary(v.n, v.decomposition.max_degree)
+    return {int(d): restricted_hessian_stack(entries[d], grid.nodes) for d in np.unique(v.decomposition.terms[:, 1:])}
 
 
-def _build_kernel_tables(v: KernelValuation, grid: SphereGrid) -> tuple:
+def _blocks(B: np.ndarray, j: int, complement: bool = False) -> np.ndarray:
+    """The blocks B[:, I, J] of a (G, m, m) stack over the pairs of j-subsets (I, J) of range(m), as one
+    (G * P, s, s) stack in node-major, lexicographic pair order; with ``complement`` the blocks B[:, I', J']."""
+    m = B.shape[-1]
+    index = np.array([[i for i in range(m) if (i in S) != complement] for S in itertools.combinations(range(m), j)])
+    return B[:, index[:, None, :, None], index[None, :, None, :]].reshape(-1, index.shape[1], index.shape[1])
+
+
+def _node_table(terms, j: int, grid: SphereGrid) -> np.ndarray:
+    """(G, P) table T with sum_terms w D(X[j], B_1, ..., B_r) = sum_p det X[I_p, J_p] T[:, p].
+
+    ``terms`` holds (w, [B_1, ..., B_r]) with r + j = m = n - 1.  The Laplace
+    expansion of det(X + sum_i t_i B_i) gives, with I', J' the complements,
+    T[:, (I, J)] = (-1)^(sum I + sum J) / C(m, j) sum_terms w D(B_1[I', J'], ..., B_r[I', J']),
+    one mixed discriminant call per term.
+    """
+    m = grid.n - 1
+    sign = np.array([(-1.0) ** sum(S) for S in itertools.combinations(range(m), j)])
+    table = np.zeros(grid.size * len(sign) ** 2)
+    for w, stacks in terms:
+        table += w * mixed_discriminant_stack([_blocks(B, j, complement=True) for B in stacks])
+    table = table.reshape(grid.size, -1) * np.outer(sign, sign).ravel() / math.comb(m, j)
+    table.setflags(write=False)
+    return table
+
+
+def _evaluate(owner, K: ConvexBody, grid: SphereGrid, build) -> float:
+    """mixed_volume_smooth(K, sum_p det D^2 h_K[I_p, J_p] T[:, p]) for T = ``_on_grid(owner, grid, build)``."""
+    if not K.smooth:
+        raise ValueError("valuations evaluate on smooth bodies only (quadrature route)")
+    table = _on_grid(owner, grid, build)
+    j = owner.k - 1
+    density = table[:, 0]
+    if j:  # with k = 1 the only minor is the empty one, and K's Hessian stack is not built
+        X = restricted_hessian_stack(K.support, grid.nodes)
+        minors = mixed_discriminant_stack([_blocks(X, j)] * j)
+        density = np.einsum("gp,gp->g", minors.reshape(table.shape), table)
+    return mixed_volume_smooth(K, density, grid)
+
+
+def _kernel_table(v: KernelValuation, grid: SphereGrid) -> np.ndarray:
+    """The node table of the terms (n c_j, [D^2 phi_{t_j1}, ..., D^2 phi_{t_j,n-k}]).
+
+    The first slot is summed per group of later labels (``contract_first`` of
+    the identity gives each group's coefficient vector), so the table costs one
+    Hessian stack and one mixed discriminant call per group, not per term.
+    """
     decomp = v.decomposition
-    later, first = decomp.contract_first(dictionary_values(grid.nodes, decomp.max_degree))
-    entries = harmonic_dictionary(v.n, decomp.max_degree)
-    labels = {int(d) for u in later for d in u}
-    return later, first, {d: restricted_hessian_stack(entries[d], grid.nodes) for d in labels}
+    later, first = decomp.contract_first(np.eye(dictionary_size(v.n, decomp.max_degree)))
+    stacks = _on_grid(v, grid, _label_stacks)
+    def terms():  # a generator, so one group's first-slot stack is alive at a time
+        for index in np.ndindex(first.shape[:-1]):
+            if first[index].any():
+                group = restricted_hessian_stack(HarmonicCombination(v.n, first[index]), grid.nodes)
+                yield v.n, [group] + [stacks[u[i]] for u, i in zip(later, index)]
+
+    return _node_table(terms(), v.k - 1, grid)
 
 
 def evaluate_kernel_valuation(v: KernelValuation, K: ConvexBody, grid: SphereGrid) -> float:
     """Evaluate the kernel valuation on a smooth body by quadrature.
 
-    Sum over terms of c_j integral phi_{t_j1} * D(D^2 h_K taken k times,
-    D^2 phi_{t_j2}, ...); terms with the same later labels share one mixed
-    discriminant.  For a separable kernel of support functions this equals n
-    times the corresponding mixed volume.
+    sum_j c_j integral phi_{t_j1} D(D^2 h_K [k], D^2 phi_{t_j2}, ...), which the
+    symmetry of mixed volumes (multilinear in any smooth functions) turns into
+    sum_j c_j integral h_K D(D^2 h_K [k - 1], D^2 phi_{t_j1}, ...) over the
+    kernel's node table.  For a separable kernel of support functions this
+    equals n times the corresponding mixed volume.
     """
-    if not K.smooth:
-        raise ValueError("kernel valuations evaluate on smooth bodies only (singular measure otherwise)")
-    k_stack = restricted_hessian_stack(K.support, grid.nodes)
-    later, first, stacks = _kernel_tables(v, grid)
-    total = 0.0
-    for index in np.ndindex(first.shape[:-1]):
-        if first[index].any():
-            tail = [stacks[u[i]] for u, i in zip(later, index)]
-            total += grid.integrate(first[index] * mixed_discriminant_stack([k_stack] * v.k + tail))
-    return total
+    return _evaluate(v, K, grid, _kernel_table)
 
 
 def accumulate_g_alpha(v: KernelValuation, frame: SpanningFrame) -> dict:
@@ -136,7 +182,8 @@ def accumulate_g_alpha(v: KernelValuation, frame: SpanningFrame) -> dict:
     slots = v.n - v.k - 1
     if slots and not len(v.decomposition):
         return {}
-    later, T, stacks = _kernel_tables(v, grid)
+    later, T = v.decomposition.contract_first(dictionary_values(grid.nodes, v.decomposition.max_degree))
+    stacks = _on_grid(v, grid, _label_stacks)
     psi = {d: frame.coefficients_stack(forms) for d, forms in stacks.items()}  # (G, N) each
     # T[i_l, ..., i_m, x, s]: s runs over the index tuples of the slots contracted so far
     T = T[..., None]
@@ -246,46 +293,40 @@ def synthesize(v: KernelValuation, family: EllipsoidFamily, frame: SpanningFrame
     )
 
 
-def _family_multiset(comb: FiniteCombination, alpha):
-    bodies = []
-    for index, count in enumerate(alpha):
-        bodies.extend([comb.family.ellipsoids[index]] * count)
-    return bodies
+def _combination_table(comb: FiniteCombination, grid: SphereGrid) -> np.ndarray:
+    """The node table of the terms (1, [D^2 h_{L+_alpha} - D^2 h_{L-_alpha}, D^2 h_E for E in alpha]).
 
+    For k = 1 the table is the signed measure
+    nu = sum_alpha S(L+_alpha, E[alpha]) - S(L-_alpha, E[alpha]), summed
+    from the artifact's own bodies by ``mixed_area_density``.  Otherwise each
+    family member's stack is built once, not once per alpha-term.
+    """
+    members = [[i for i, count in enumerate(term.alpha) for _ in range(count)] for term in comb.terms]
+    if comb.k == 1:
+        nu = np.zeros(grid.size)
+        for term, indices in zip(comb.terms, members):
+            others = [comb.family.ellipsoids[i] for i in indices]
+            nu += mixed_area_density(term.l_plus, 1, others, grid) - mixed_area_density(term.l_minus, 1, others, grid)
+        nu.setflags(write=False)
+        return nu[:, None]
 
-def _signed_area_measure(comb: FiniteCombination, grid: SphereGrid) -> np.ndarray:
-    """Node values of nu = sum_alpha S(L+_alpha, E[alpha]) - S(L-_alpha, E[alpha]), for k = 1."""
-    nu = np.zeros(grid.size)
-    for term in comb.terms:
-        others = _family_multiset(comb, term.alpha)
-        nu += mixed_area_density(term.l_plus, 1, others, grid) - mixed_area_density(term.l_minus, 1, others, grid)
-    nu.setflags(write=False)
-    return nu
+    def stack(body):
+        return restricted_hessian_stack(body.support, grid.nodes)
+
+    family = {i: stack(comb.family.ellipsoids[i]) for i in set().union(*members)}
+    terms = ((1.0, [stack(t.l_plus) - stack(t.l_minus)] + [family[i] for i in m]) for t, m in zip(comb.terms, members))
+    return _node_table(terms, comb.k - 1, grid)
 
 
 def evaluate_combination(comb: FiniteCombination, K: ConvexBody, grid: SphereGrid) -> float:
     """Evaluate the finite combination on a smooth body.
 
     Returns the mixed-volume representation sum_alpha V(K[k], L+, E[alpha]) -
-    V(K[k], L-, E[alpha]).  For k = 1, mixed volumes are symmetric and linear
-    in the support slot, so the sum is (1/n) integral h_K dnu, with the signed
-    measure nu = sum_alpha S(L+_alpha, E[alpha]) - S(L-_alpha, E[alpha]) that
-    does not depend on K.  nu is built from the artifact's own bodies (two
-    mixed area densities per alpha-term) once per grid and held on the
-    combination, and each body then costs one support-function integral.  For
-    k >= 2, K fills several Hessian slots and the sum is not linear in K:
-    each alpha-term gets one mixed area density of K, shared by its two mixed
-    volumes.
+    V(K[k], L-, E[alpha]).  Mixed volumes are symmetric and linear in each
+    slot, so the sum is sum_alpha V(K, K[k-1], L+ - L-, E[alpha]), and the
+    K-free part is the combination's node table (``_combination_table``).
     """
-    if not K.smooth:
-        raise ValueError("finite combinations evaluate on smooth bodies (quadrature route)")
-    if comb.k == 1:
-        return mixed_volume_smooth(K, _on_grid(comb, grid, _signed_area_measure), grid)
-    total = 0.0
-    for term in comb.terms:
-        density = mixed_area_density(K, comb.k, _family_multiset(comb, term.alpha), grid)
-        total += mixed_volume_smooth(term.l_plus, density, grid) - mixed_volume_smooth(term.l_minus, density, grid)
-    return total
+    return _evaluate(comb, K, grid, _combination_table)
 
 
 # -- artifact serialization ---------------------------------------------------
@@ -333,9 +374,8 @@ def combination_from_dict(data: dict, grid: SphereGrid):
     its convexity certificate on the grid.  The ``g`` and ``radius`` keys of
     older artifacts repeat L+'s perturbation and radius and are ignored.
 
-    Both objects are compiled for that grid here, so that loading pays for
-    them and no evaluation does: the kernel's label tables, and for k = 1 the
-    combination's signed mixed area measure (see ``evaluate_combination``).
+    Both node tables are compiled for that grid here, so that loading pays
+    for them and no evaluation does.
     """
     n = int(data["n"])
     k = int(data["k"])
@@ -374,7 +414,6 @@ def combination_from_dict(data: dict, grid: SphereGrid):
             max_degree=max_degree,
         )
         valuation = KernelValuation(n=n, k=k, decomposition=decomp, parity=kdata.get("parity"))
-        _kernel_tables(valuation, grid)
-    if k == 1:
-        _on_grid(comb, grid, _signed_area_measure)
+        _on_grid(valuation, grid, _kernel_table)
+    _on_grid(comb, grid, _combination_table)
     return comb, valuation

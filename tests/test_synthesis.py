@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import math
 import warnings
 import weakref
 from pathlib import Path
@@ -11,7 +12,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import valforge as vf
-from valforge.sphere import restricted_hessian_stack
+from valforge import synthesis
+from valforge.harmonics import dictionary_values
+from valforge.sphere import mixed_discriminant_stack, restricted_hessian_stack
 from conftest import random_perturbed_ball, random_spd, random_unit
 
 
@@ -238,15 +241,52 @@ def _literal_value(comb, K, grid):
     return total
 
 
+def _literal_kernel_value(v, K, grid):
+    """sum_j c_j integral phi_{t_j1} D(D^2 h_K [k], D^2 phi_{t_j2}, ...), K in the Hessian slots: one mixed
+    discriminant per group of terms with the same later labels."""
+    decomp = v.decomposition
+    later, first = decomp.contract_first(dictionary_values(grid.nodes, decomp.max_degree))
+    entries = vf.harmonic_dictionary(v.n, decomp.max_degree)
+    k_stack = restricted_hessian_stack(K.support, grid.nodes)
+    total = 0.0
+    for index in np.ndindex(first.shape[:-1]):
+        tail = [restricted_hessian_stack(entries[u[i]], grid.nodes) for u, i in zip(later, index)]
+        total += grid.integrate(first[index] * mixed_discriminant_stack([k_stack] * v.k + tail))
+    return total
+
+
+_FACTOR_LABELS = ({(2, 0): 0.05, (3, 1): 0.02}, {(1, 0): 0.1, (4, 3): 0.03}, {(2, 3): 0.04, (1, 2): 0.05})
+
+
+def _separable_pipeline(n, k, grid):
+    """The kernel of the first n - k perturbed balls of ``_FACTOR_LABELS``, and its synthesized combination."""
+    family = vf.build_family(n)
+    factors = [vf.make_perturbed_ball(1.0, coeffs, grid) for coeffs in _FACTOR_LABELS[: n - k]]
+    v = vf.KernelValuation(n=n, k=k, decomposition=vf.decompose_kernel(vf.separable_kernel(factors), n - k, 4, n=n))
+    return v, vf.synthesize(v, family, vf.dual_frame(family, grid))
+
+
 @pytest.fixture(scope="module")
-def combination_n4_k1():
-    # criterion 10's n = 4, k = 1 combination: 66 alpha-terms on the degree-12 grid
+def pipeline_n4_k1():
+    # criterion 10's n = 4, k = 1 kernel and combination: 66 alpha-terms on the degree-12 grid
     grid = vf.build_grid(4, 12)
-    family = vf.build_family(4)
-    labels = ({(2, 0): 0.05, (3, 1): 0.02}, {(1, 0): 0.1, (4, 3): 0.03}, {(2, 3): 0.04, (1, 2): 0.05})
-    factors = [vf.make_perturbed_ball(1.0, coeffs, grid) for coeffs in labels]
-    v = vf.KernelValuation(n=4, k=1, decomposition=vf.decompose_kernel(vf.separable_kernel(factors), 3, 4, n=4))
-    return vf.synthesize(v, family, vf.dual_frame(family, grid)), grid
+    return (*_separable_pipeline(4, 1, grid), grid)
+
+
+@pytest.fixture(scope="module")
+def combination_n4_k1(pipeline_n4_k1):
+    _, comb, grid = pipeline_n4_k1
+    return comb, grid
+
+
+@pytest.fixture(scope="module")
+def pipelines(separable_valuation_k1, combination_k1, pipeline_n4_k1, grid20):
+    """(kernel valuation, combination, grid) for every (n, k) with n <= 4, on the fixtures' grids."""
+    grid12 = pipeline_n4_k1[2]
+    out = {(3, 1): (separable_valuation_k1[0], combination_k1, grid20), (4, 1): pipeline_n4_k1}
+    for n, k, grid in ((3, 2, grid20), (4, 2, grid12), (4, 3, grid12)):
+        out[(n, k)] = (*_separable_pipeline(n, k, grid), grid)
+    return out
 
 
 def test_compiled_k1_equals_literal_mixed_volumes(combination_k1, grid20):
@@ -429,3 +469,130 @@ def test_minkowski_polynomiality_in_ball_growth(combination_k1, grid20):
     coeffs = np.polynomial.polynomial.polyfit(ts, vals, 1)
     fitted = np.polynomial.polynomial.polyval(ts, coeffs)
     assert np.max(np.abs(fitted - vals)) < 1e-6 * max(1.0, np.max(np.abs(vals)))
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+def test_compiled_equals_literal_both_sides(pipelines, n, k):
+    v, comb, grid = pipelines[(n, k)]
+    rng = np.random.default_rng(10 * n + k)
+    for K in [random_perturbed_ball(rng, grid) for _ in range(2)]:
+        kernel_literal, comb_literal = _literal_kernel_value(v, K, grid), _literal_value(comb, K, grid)
+        assert vf.evaluate_kernel_valuation(v, K, grid) == pytest.approx(kernel_literal, rel=1e-12, abs=0.0)
+        assert vf.evaluate_combination(comb, K, grid) == pytest.approx(comb_literal, rel=1e-12, abs=0.0)
+
+
+def _support_slot_literal(terms, K, k, grid):
+    """sum_terms w (1/n) integral h_K D(D^2 h_K [k - 1], D^2 f_1, ...): one mixed discriminant per term."""
+    X = restricted_hessian_stack(K.support, grid.nodes)
+    total = 0.0
+    for w, functions in terms:
+        stacks = [restricted_hessian_stack(f, grid.nodes) for f in functions]
+        total += w * vf.mixed_volume_smooth(K, mixed_discriminant_stack([X] * (k - 1) + stacks), grid)
+    return total
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_compiled_equals_literal_n5(k):
+    # the minor formula at m = 4 (1 x 1 minors for k = 2, 2 x 2 for k = 3), on two hand-built terms per side,
+    # against per-term mixed volumes with the same slots: K in the support slot and k - 1 Hessian slots
+    grid = vf.build_grid(5, 8)
+    family = vf.build_family(5)
+    members = {2: ([3, 9], [12, 12]), 3: ([3], [12])}[k]  # the n - k - 1 family members of each term
+    carriers = ({(2, 0): 0.2, (3, 4): -0.1}, {(1, 2): 0.3, (2, 7): 0.15})
+    terms = tuple(
+        synthesis.CombinationTerm(
+            tuple(picks.count(i) for i in range(family.size)),
+            vf.make_perturbed_ball(2.0, c, grid),
+            vf.make_ball(2.0, n=5),
+        )
+        for picks, c in zip(members, carriers)
+    )
+    comb = vf.FiniteCombination(n=5, k=k, family=family, terms=terms, kernel_max_degree=2)
+    rows = [[6, 0, 6][: 5 - k], [9, 9, 0][: 5 - k]]  # degrees 0 and 2 only: a linear label has no Hessian
+    decomp = vf.TensorDecomposition(
+        n=5, factors=5 - k, terms=rows, coefficients=[0.7, -0.3], residual=0.0, max_degree=2
+    )
+    v = vf.KernelValuation(n=5, k=k, decomposition=decomp)
+    entries = vf.harmonic_dictionary(5, 2)
+    K = vf.make_ellipsoid(random_spd(np.random.default_rng(50 + k), n=5))
+    kernel_terms = [(5 * c, [entries[d] for d in row]) for row, c in zip(rows, decomp.coefficients)]
+    # h_{L+} - h_{L-} is the carrier, so each term is one mixed volume of it
+    comb_terms = [
+        (1.0, [term.l_plus.perturbation] + [family.ellipsoids[i].support for i in picks])
+        for term, picks in zip(terms, members)
+    ]
+    kernel_literal = _support_slot_literal(kernel_terms, K, k, grid)
+    comb_literal = _support_slot_literal(comb_terms, K, k, grid)
+    assert vf.evaluate_kernel_valuation(v, K, grid) == pytest.approx(kernel_literal, rel=1e-12, abs=0.0)
+    assert vf.evaluate_combination(comb, K, grid) == pytest.approx(comb_literal, rel=1e-12, abs=0.0)
+
+
+def test_per_body_work_does_not_scale_with_terms(pipelines, monkeypatch):
+    # after the compile, a body costs at most one discriminant call per minor, whatever the term count
+    assert len(pipelines[(4, 2)][1].terms) == 11
+    for n, k in ((4, 2), (3, 1)):
+        v, comb, grid = pipelines[(n, k)]
+        rng = np.random.default_rng(17)
+        first, later = random_perturbed_ball(rng, grid), random_perturbed_ball(rng, grid)
+        for evaluate, owner in ((vf.evaluate_kernel_valuation, v), (vf.evaluate_combination, comb)):
+            evaluate(owner, first, grid)
+            calls = {"mixed_discriminant_stack": 0, "mixed_area_density": 0}
+            for name in calls:
+                function = getattr(synthesis, name)
+
+                def counted(*args, name=name, function=function):
+                    calls[name] += 1
+                    return function(*args)
+
+                monkeypatch.setattr(synthesis, name, counted)
+            evaluate(owner, later, grid)
+            monkeypatch.undo()
+            assert calls["mixed_discriminant_stack"] <= math.comb(n - 1, k - 1) ** 2
+            assert calls["mixed_area_density"] == 0
+
+
+def _count_builds(monkeypatch) -> list:
+    """(owner id, grid nodes id) of every node-table build from here on."""
+    builds = []
+    for name in ("_kernel_table", "_combination_table"):
+        build = getattr(synthesis, name)
+
+        def counted(owner, grid, build=build):
+            builds.append((id(owner), id(grid.nodes)))
+            return build(owner, grid)
+
+        monkeypatch.setattr(synthesis, name, counted)
+    return builds
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_tables_compile_once_per_owner_and_grid(pipelines, k, monkeypatch):
+    v, comb, grid = pipelines[(3, k)]
+    v, comb = dataclasses.replace(v), dataclasses.replace(comb)  # the same terms, nothing compiled yet
+    builds = _count_builds(monkeypatch)
+    rng = np.random.default_rng(18)
+    bodies = [random_perturbed_ball(rng, grid) for _ in range(5)]
+    for on in (grid, vf.build_grid(3, 24)):
+        for K in bodies:
+            vf.evaluate_kernel_valuation(v, K, on)
+            vf.evaluate_combination(comb, K, on)
+    monkeypatch.undo()
+    assert len(builds) == len(set(builds)) == 4
+    # the compiled tables live and die with their owners
+    refs = [weakref.ref(v), weakref.ref(comb)]
+    del v, comb
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_loading_compiles_both_tables(pipelines, k, monkeypatch):
+    v, comb, grid = pipelines[(3, k)]
+    payload = json.loads(json.dumps(vf.combination_to_dict(comb, v)))
+    builds = _count_builds(monkeypatch)
+    comb, v = vf.combination_from_dict(payload, grid)
+    assert len(builds) == 2
+    K = random_perturbed_ball(np.random.default_rng(19), grid)
+    vf.evaluate_kernel_valuation(v, K, grid)
+    vf.evaluate_combination(comb, K, grid)
+    assert len(builds) == 2
