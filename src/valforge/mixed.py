@@ -19,7 +19,9 @@ Minkowski-sum volumes default to convex hulls of vertex sums; for large vertex
 sets in R^3 an exact Gauss-map overlay evaluator (facet and edge-crossing
 contributions to the surface decomposition of the sum) avoids materializing
 the product vertex set.  Its candidate arc crossings come from a KD-tree over
-the arc midpoints followed by the exact angular reach test on those pairs.
+the arc midpoints followed by the exact angular reach test on those pairs, and
+its support values are taken in row blocks of fixed size, so its working
+memory does not grow with (directions x vertices).
 """
 
 import itertools
@@ -46,6 +48,8 @@ __all__ = [
 
 # vertex-product size beyond which the n=3 overlay engine takes over in "auto"
 _HULL_POINT_LIMIT = 200_000
+# (directions x vertices) products the overlay forms at once: 2^17 doubles (1 MB), or two rows
+_SUPPORT_BLOCK_ELEMENTS = 1 << 17
 
 
 def mixed_area_density(K: ConvexBody, k: int, others, grid: SphereGrid) -> np.ndarray:
@@ -184,9 +188,20 @@ class _GaussMapOverlay:
         self._self_check()
 
     def _supports(self, directions):
-        if len(directions) == 0:
-            return np.zeros((self.m, 0))
-        return np.stack([np.max(directions @ V.T, axis=1) for V in self.vertex_sets])
+        """(m, D) support values max_v <d, v>, from row blocks of the directions.
+
+        A block holds at most _SUPPORT_BLOCK_ELEMENTS products but at least two
+        rows, and the last block is moved back to full size, overlapping the one
+        before: numpy computes a one-row product by another BLAS routine, whose
+        last bits differ.  Every value then equals the one-shot product's.
+        """
+        out = np.empty((self.m, len(directions)))
+        for i, V in enumerate(self.vertex_sets):
+            rows = max(2, _SUPPORT_BLOCK_ELEMENTS // len(V))
+            for start in range(0, len(directions), rows):
+                block = slice(max(0, min(start, len(directions) - rows)), start + rows)
+                out[i, block] = np.max(directions[block] @ V.T, axis=1)
+        return out
 
     @staticmethod
     def _hull_data(hull):
@@ -276,7 +291,8 @@ def polytope_mixed_volume(bodies, engine: str = "auto") -> float:
 
     ``engine`` selects the Minkowski-volume evaluator: "hull" (convex hulls of
     vertex sums), "overlay" (exact Gauss-map overlay, n = 3, generic position),
-    or "auto" (overlay for large vertex products, hulls otherwise).
+    or "auto" (overlay for large vertex products, hulls otherwise; when the
+    overlay rejects the bodies, a UserWarning gives its reason and hulls are used).
     """
     bodies = list(bodies)
     n = bodies[0].n
@@ -295,10 +311,10 @@ def polytope_mixed_volume(bodies, engine: str = "auto") -> float:
     if engine == "overlay" or (engine == "auto" and n == 3 and product_size > _HULL_POINT_LIMIT):
         try:
             overlay = _GaussMapOverlay(vertex_sets)
-        except OverlayDegenerateError:
+        except OverlayDegenerateError as err:
             if engine == "overlay":
                 raise
-            overlay = None
+            warnings.warn(f"Gauss-map overlay not applicable ({err}); using convex hulls", stacklevel=2)
 
     total = 0.0
     for subset in itertools.product((0, 1), repeat=n):

@@ -36,7 +36,6 @@ __all__ = [
     "LinearFunction",
     "SumFunction",
     "build_grid",
-    "fd_hessians",
     "min_hessian_eigenvalue",
     "mixed_discriminant_stack",
     "monomial_sphere_integral",
@@ -181,9 +180,8 @@ def tangent_basis(x) -> np.ndarray:
 class SphericalFunction:
     """Scalar field on the sphere with the Hessian of its 1-homogeneous extension.
 
-    Subclasses override ``values`` and, when a closed form exists, ``hessians``;
-    the base class falls back to central finite differences with one Richardson
-    extrapolation level.
+    Subclasses implement ``values`` and a closed-form ``hessians``; the base
+    ``hessians`` raises ``NotImplementedError`` naming the subclass.
     """
 
     def values(self, X: np.ndarray) -> np.ndarray:
@@ -194,7 +192,7 @@ class SphericalFunction:
 
     def hessians(self, X: np.ndarray) -> np.ndarray:
         """Ambient (m, n, n) Hessian stack of the extension; annihilates each point."""
-        return fd_hessians(self, np.atleast_2d(np.asarray(X, dtype=float)))
+        raise NotImplementedError(f"{type(self).__name__} does not implement hessians")
 
     def hessian(self, x) -> np.ndarray:
         return self.hessians(np.asarray(x, dtype=float)[None])[0]
@@ -251,45 +249,6 @@ class SumFunction(SphericalFunction):
         for w, f in self.parts:
             out += w * f.hessians(X)
         return out
-
-
-def _extension_values(f: SphericalFunction, Y: np.ndarray) -> np.ndarray:
-    r = np.linalg.norm(Y, axis=1)
-    return r * f.values(Y / r[:, None])
-
-
-# coarse step h of fd_hessians; the fine step is h / 2
-_FD_STEP = 1e-3
-
-
-def fd_hessians(f: SphericalFunction, X: np.ndarray) -> np.ndarray:
-    """Finite-difference Hessians of the 1-homogeneous extension of f.
-
-    Central second differences at steps h = 1e-3 and h/2 combined by one
-    Richardson level, (4 H(h/2) - H(h)) / 3.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    m, n = X.shape
-
-    def at_step(h):
-        H = np.empty((m, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                ei = np.zeros(n)
-                ei[i] = h
-                ej = np.zeros(n)
-                ej[j] = h
-                vpp = _extension_values(f, X + ei + ej)
-                vpm = _extension_values(f, X + ei - ej)
-                vmp = _extension_values(f, X - ei + ej)
-                vmm = _extension_values(f, X - ei - ej)
-                H[:, i, j] = (vpp - vpm - vmp + vmm) / (4.0 * h * h)
-                H[:, j, i] = H[:, i, j]
-        return H
-
-    coarse = at_step(_FD_STEP)
-    fine = at_step(_FD_STEP / 2.0)
-    return (4.0 * fine - coarse) / 3.0
 
 
 def restricted_hessian_stack(f: SphericalFunction, nodes: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import valforge as vf
-from valforge.sphere import fd_hessians
 from conftest import random_spd, random_unit
+from finite_differences import fd_hessians
 
 
 def test_ellipsoid_support_values():

@@ -22,8 +22,9 @@ from valforge.harmonics import (
     project_to_dictionary,
 )
 from valforge.synthesis import parity_project
-from valforge.sphere import _grid_tables, build_grid, fd_hessians, restricted_hessian_stack
+from valforge.sphere import _grid_tables, build_grid, restricted_hessian_stack
 from conftest import random_unit
+from finite_differences import fd_hessians
 
 DEGREES = range(9)
 

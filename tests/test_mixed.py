@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +272,45 @@ def test_routes_agree_on_ellipsoid_triples(grid20):
         vq = vf.mixed_volume_quadrature([vf.make_ellipsoid(A) for A in mats], grid20)
         vp = vf.polytope_mixed_volume(polys)
         assert vp == pytest.approx(vq, rel=1e-3)
+
+
+def test_auto_fallback_to_hulls_warns():
+    # the aligned triple of test_routes_agree_on_ellipsoid_triples: "auto" says why it left the overlay
+    mats = [np.diag(d) for d in ([1.4, 1.0, 0.7], [0.8, 1.5, 1.1], [1.2, 0.9, 1.3])]
+    aligned = [vf.ellipsoid_approx(A, 2) for A in mats]
+    with pytest.warns(UserWarning, match="arc crossing within tolerance of an arc endpoint"):
+        value = vf.polytope_mixed_volume(aligned)
+    assert value == vf.polytope_mixed_volume(aligned, engine="hull")
+    rng = np.random.default_rng(7)
+    rotated = [vf.ellipsoid_approx(random_spd(rng), 3, rotation=random_rotation(rng)) for _ in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vf.polytope_mixed_volume(rotated)
+
+
+def test_overlay_working_memory_is_bounded():
+    # one dense (directions x vertices) product at level 3 is 6-7 MB; the blocked supports stay near 1 MB
+    rng = np.random.default_rng(21)
+    polys = [vf.ellipsoid_approx(random_spd(rng), 3, rotation=random_rotation(rng)) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        vf.polytope_mixed_volume(polys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("case", ["level-3", "random-10-point"])
+@pytest.mark.parametrize("budget", [mixed._SUPPORT_BLOCK_ELEMENTS, 1])
+def test_blocked_supports_equal_one_shot(case, budget, monkeypatch):
+    vsets = overlay_triple(case, np.random.default_rng(21))
+    overlay = _GaussMapOverlay(vsets)
+    monkeypatch.setattr(mixed, "_SUPPORT_BLOCK_ELEMENTS", budget)
+    directions = [normals for normals, _ in overlay._facets] + [dirs for _, _, dirs, _ in overlay._crossings]
+    for D in directions + [D[1:] for D in directions]:  # odd and even lengths
+        one_shot = np.stack([np.max(D @ V.T, axis=1) for V in vsets])
+        assert np.array_equal(overlay._supports(D), one_shot)
 
 
 def box(sides):

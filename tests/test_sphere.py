@@ -11,7 +11,7 @@ import valforge as vf
 from valforge import sphere
 from valforge.sphere import (
     ConstantFunction,
-    fd_hessians,
+    SphericalFunction,
     mixed_discriminant_stack,
     monomial_sphere_integral,
     restricted_hessian_stack,
@@ -19,6 +19,7 @@ from valforge.sphere import (
     tangent_bases,
 )
 from conftest import random_spd
+from finite_differences import fd_hessians
 
 
 def test_grid_weight_sums():
@@ -247,3 +248,14 @@ def test_grid_store_dies_with_the_grid():
     gc.collect()
     assert nodes() is None
     assert key not in sphere._GRID_TABLES
+
+
+class _ValuesOnly(SphericalFunction):
+    def values(self, X):
+        return np.ones(len(np.atleast_2d(X)))
+
+
+def test_values_only_subclass_has_no_hessians():
+    # there is no finite-difference fallback: a subclass without hessians raises, naming itself
+    with pytest.raises(NotImplementedError, match="_ValuesOnly does not implement hessians"):
+        restricted_hessian_stack(_ValuesOnly(), vf.build_grid(3, 4).nodes)
